@@ -31,11 +31,7 @@ Compares two BENCH_*.json records and exits 1 on regression.
                        throughput are informational, and metric drift in either
                        direction past -metric-tolerance fails (the identity gate
                        for runs that legitimately differ in wall time, e.g.
-                       serial vs -kernel-shards)
-  -scope               takes ONE record instead of two and prints its
-                       machine.scope.* local/global dispatch table (the
-                       sharded CI job's local-dispatch-fraction artifact);
-                       exits 1 if the record has no scope counters
+                       records from two hosts)
 
 T accepts "25%" or a fraction like "0.25".
 `
@@ -49,7 +45,6 @@ type cliArgs struct {
 	metricTolerance  float64
 	minMS            float64
 	metricsOnly      bool
-	scope            bool
 }
 
 func parseArgs(argv []string) (*cliArgs, error) {
@@ -87,8 +82,6 @@ func parseArgs(argv []string) (*cliArgs, error) {
 			a.metricTolerance = t
 		case "-metrics-only", "--metrics-only":
 			a.metricsOnly = true
-		case "-scope", "--scope":
-			a.scope = true
 		case "-min-ms", "--min-ms":
 			v, err := flagVal()
 			if err != nil {
@@ -107,13 +100,6 @@ func parseArgs(argv []string) (*cliArgs, error) {
 			}
 			files = append(files, arg)
 		}
-	}
-	if a.scope {
-		if len(files) != 1 {
-			return nil, fmt.Errorf("-scope needs exactly one record file, got %d", len(files))
-		}
-		a.oldPath = files[0]
-		return a, nil
 	}
 	if len(files) != 2 {
 		return nil, fmt.Errorf("need exactly two record files, got %d", len(files))
@@ -139,15 +125,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
-	}
-	if a.scope {
-		report := benchrec.ScopeReport(old)
-		if report == "" {
-			fmt.Fprintf(os.Stderr, "benchdiff: %s carries no machine.scope.* counters (serial record, or metrics not captured)\n", a.oldPath)
-			os.Exit(1)
-		}
-		fmt.Print(report)
-		return
 	}
 	cur, err := benchrec.Load(a.newPath)
 	if err != nil {

@@ -61,3 +61,20 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestComputeCoreWait pins that hardware multithreading actually contends
+// for the core: a multithreaded sor run must account some CoreWait, or the
+// core-reservation path in Env.Compute is never exercised.
+func TestComputeCoreWait(t *testing.T) {
+	app, err := NewBenchmark("sor", ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunApp(app, RCInv, DefaultMTParams(16, 2)) // 8 nodes x 2 hardware threads
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.TotalCoreWait() == 0 {
+		t.Fatal("multithreaded run shows no core contention")
+	}
+}

@@ -141,15 +141,7 @@ func TestCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module lint is not short")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := NewLoader().Load(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range Run(pkgs) {
+	for _, f := range Run(loadModule(t)) {
 		t.Errorf("%s", f)
 	}
 }

@@ -94,7 +94,6 @@ func (l *Loader) LoadDir(dir string, inZone bool) (*Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
 	}
 	conf := types.Config{Importer: l.imp}
 	tpkg, err := conf.Check(dir, l.Fset, files, info)

@@ -1,32 +1,43 @@
 package lint
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
-// loadModule loads every package of the module once, outside any timed
-// region, so the budget and benchmark measure analysis alone.
+// module is the whole module, type-checked from source once per test
+// binary: the load dominates this package's test time, and every
+// whole-module test and benchmark shares it.
+var module struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// loadModule returns every package of the module, loading them on first
+// use, outside any timed region, so the budget and benchmark measure
+// analysis alone. Analyzers only read the packages, so sharing is safe.
 func loadModule(tb testing.TB) []*Package {
 	tb.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		tb.Fatal(err)
+	module.once.Do(func() {
+		root, err := FindModuleRoot(".")
+		if err != nil {
+			module.err = err
+			return
+		}
+		module.pkgs, module.err = NewLoader().Load(root, []string{"./..."})
+	})
+	if module.err != nil {
+		tb.Fatal(module.err)
 	}
-	pkgs, err := NewLoader().Load(root, []string{"./..."})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return pkgs
+	return module.pkgs
 }
 
 // TestLintTimeBudget guards the whole-module analysis wall-time: the full
-// suite (legacy analyzers plus the confine whole-program fixpoint) over
-// pre-loaded packages must stay within a budget an order of magnitude
-// above today's cost. The fixpoint is worklist-driven and should scale
-// near-linearly with reachable functions; a superlinear regression (e.g.
-// losing join monotonicity and re-analyzing forever) trips this long
-// before it hangs CI.
+// suite over pre-loaded packages must stay within a budget an order of
+// magnitude above today's cost, so an analyzer that turns superlinear in
+// the module's size trips this long before it hangs CI.
 func TestLintTimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-program load in -short mode")

