@@ -34,6 +34,8 @@ func TestParseArgs(t *testing.T) {
 			argv: []string{"a.json", "b.json", "-metrics-only", "-metric-tolerance", "0%"},
 			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.25, metricTolerance: 0, minMS: 10, metricsOnly: true},
 		},
+		// -scope is not a benchdiff flag; an invocation that still passes it fails.
+		{name: "scope with two files", argv: []string{"-scope", "a.json", "b.json"}, err: true},
 		{name: "one file", argv: []string{"a.json"}, err: true},
 		{name: "three files", argv: []string{"a", "b", "c"}, err: true},
 		{name: "unknown flag", argv: []string{"a.json", "b.json", "-bogus"}, err: true},
