@@ -363,7 +363,8 @@ func RunGrid(n int, cell func(i int) (*Result, error)) ([]*Result, error) {
 }
 
 // EnableMetrics turns the simulator's own overhead accounting on or off
-// and returns the previous state. Enable it before building machines.
+// and returns the previous state. A machine publishes its run's metrics
+// if recording is on when the run ends.
 // Metrics never touch virtual time: simulated results are byte-identical
 // with metrics on or off and at any -parallel setting; only host-side
 // metrics (runner.cell_wall_ms, runner.workers_busy) vary between hosts.

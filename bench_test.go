@@ -416,8 +416,8 @@ func BenchmarkCheckerOverhead(b *testing.B) {
 
 // BenchmarkMetricsOverhead measures the cost of running with metric
 // recording enabled against the plain run (acceptance budget: ≤1.1×
-// slowdown — the hot path only pays one atomic load per observation point
-// plus the end-of-run harvest). Compare with
+// slowdown — the hot path keeps the same plain counts either way, and
+// enabling adds only the end-of-run harvest). Compare with
 //
 //	go test -bench 'MetricsOverhead' -benchtime 20x
 func BenchmarkMetricsOverhead(b *testing.B) {

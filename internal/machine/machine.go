@@ -39,10 +39,10 @@ type Machine struct {
 	values memsys.Paged[uint64]
 	procs  []stats.Proc
 	envs   []*Env
-	// met is the machine's own metrics registry; every component is wired
-	// to it at construction, the run's totals are harvested into it when
-	// Run finishes, and it is then merged into metrics.Default. Recording
-	// is gated globally by metrics.Enable and never touches virtual time.
+	// met is the machine's own metrics registry: empty until Run finishes,
+	// when every component's counts are harvested into it (if metrics.Enable
+	// is on) and it is merged into metrics.Default. Harvesting never
+	// touches virtual time.
 	met *metrics.Registry
 	// rec, when non-nil, records every globally visible event.
 	rec *trace.Recorder
@@ -77,11 +77,6 @@ func New(kind memsys.Kind, p memsys.Params) (*Machine, error) {
 		procs:    make([]stats.Proc, p.Procs),
 		coreFree: make([]Time, p.Nodes()),
 		met:      metrics.NewRegistry(),
-	}
-	m.Eng.InstrumentMetrics(m.met)
-	m.Net.InstrumentMetrics(m.met)
-	if ins, ok := mem.(metrics.Instrumentable); ok {
-		ins.InstrumentMetrics(m.met)
 	}
 	for i := 0; i < p.Procs; i++ {
 		m.envs = append(m.envs, &Env{m: m, p: m.Eng.Proc(i), st: &m.procs[i]})
@@ -187,12 +182,10 @@ func (m *Machine) Run(app string, body func(e *Env)) *stats.Result {
 	return res
 }
 
-// Metrics returns a frozen snapshot of the machine's metrics registry.
-// During a run it carries the live per-event metrics (run-queue depth,
-// store-buffer occupancy, mesh hops); after Run it also carries the
-// harvested totals (sim.*, proto.*, mesh.*, directory.*, cache.*,
-// machine.*). Empty unless metrics.Enable was on when the machine was
-// built and ran.
+// Metrics returns a frozen snapshot of the machine's metrics registry:
+// empty until Run finishes, then the harvested totals and distributions
+// (sim.*, proto.*, mesh.*, wbuffer.*, directory.*, cache.*, machine.*).
+// Stays empty unless metrics.Enable was on when the run ended.
 func (m *Machine) Metrics() metrics.Snapshot { return m.met.Snapshot() }
 
 // publishMetrics harvests every component's run totals into the machine's

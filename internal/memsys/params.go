@@ -44,7 +44,6 @@ type Params struct {
 	HopLatency        Time // fixed switch/router traversal cost per hop
 	DirLatency        Time // directory lookup/occupancy per request
 	MemLatency        Time // DRAM access on a directory data fetch
-	CacheHitLatency   Time // charged on every shared access (hit time)
 
 	CtrlBytes   int // size of a control message (request, inval, ack)
 	HeaderBytes int // header prepended to data messages
@@ -99,7 +98,6 @@ func Default(p int) Params {
 		HopLatency:        2,
 		DirLatency:        10,
 		MemLatency:        15,
-		CacheHitLatency:   1,
 		CtrlBytes:         8,
 		HeaderBytes:       8,
 		StoreBufEntries:   4,

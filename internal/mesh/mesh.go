@@ -31,26 +31,17 @@ type Net struct {
 	busy    []Time
 	busBusy Time
 
-	// Stats.
+	// Stats, harvested by PublishMetrics at the end of a run.
 	msgs     uint64
 	bytes    uint64
-	queueing Time // total cycles spent waiting for busy links
-	occupied Time // total link-occupancy cycles injected
-
-	// mHops records the routing hop count of each message; the plain stats
-	// above are harvested by PublishMetrics at the end of a run.
-	mHops *metrics.Histogram
+	queueing Time     // total cycles spent waiting for busy links
+	occupied Time     // total link-occupancy cycles injected
+	hops     []uint64 // hops[h]: messages routed over h hops
 }
 
 // HopBuckets are the inclusive upper bounds of the mesh.hops histogram.
 // The tail covers many-core meshes: a 32×32 mesh routes up to 62 hops.
 var HopBuckets = []uint64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64} //zlint:ignore globalmut immutable bucket bounds, never written after package init
-
-// InstrumentMetrics attaches the per-message hop histogram (implements
-// metrics.Instrumentable).
-func (n *Net) InstrumentMetrics(r *metrics.Registry) {
-	n.mHops = r.Histogram("mesh.hops", HopBuckets)
-}
 
 // PublishMetrics harvests the interconnect's aggregate stats into r
 // (implements metrics.Publisher). mesh.occupied_cycles over the product of
@@ -60,6 +51,10 @@ func (n *Net) PublishMetrics(r *metrics.Registry) {
 	r.Counter("mesh.bytes").Add(n.bytes)
 	r.Counter("mesh.queue_cycles").Add(uint64(n.queueing))
 	r.Counter("mesh.occupied_cycles").Add(uint64(n.occupied))
+	h := r.Histogram("mesh.hops", HopBuckets)
+	for hops, c := range n.hops {
+		h.ObserveN(uint64(hops), c)
+	}
 }
 
 // New builds the interconnect described by p.
@@ -72,7 +67,8 @@ func New(p memsys.Params) *Net {
 		panic(err)
 	}
 	n := topo.Nodes()
-	return &Net{p: p, topo: topo, busy: make([]Time, n*n)}
+	// A route visits each node at most once, so it has fewer than n hops.
+	return &Net{p: p, topo: topo, busy: make([]Time, n*n), hops: make([]uint64, n)}
 }
 
 // Topology returns the routing topology in use.
@@ -95,9 +91,6 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 	}
 	n.msgs++
 	n.bytes += uint64(bytes)
-	if n.mHops != nil && metrics.Enabled() {
-		n.mHops.Observe(uint64(n.topo.Hops(src, dst)))
-	}
 	transfer := n.p.TransferCycles(bytes)
 	t := start
 	if n.topo.Shared() {
@@ -110,11 +103,13 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 		depart := begin + transfer
 		n.busBusy = depart
 		n.occupied += transfer
+		n.hops[1]++
 		return depart
 	}
 	// Step hop by hop via NextHop: no path slice is ever materialized.
 	nodes := n.topo.Nodes()
-	for cur := src; cur != dst; {
+	hops := 0
+	for cur := src; cur != dst; hops++ {
 		next := n.topo.NextHop(cur, dst)
 		arrive := t + n.p.HopLatency
 		idx := cur*nodes + next
@@ -129,6 +124,7 @@ func (n *Net) Send(src, dst, bytes int, start Time) Time {
 		t = depart
 		cur = next
 	}
+	n.hops[hops]++
 	return t
 }
 

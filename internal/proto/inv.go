@@ -32,10 +32,11 @@ func newInv(p memsys.Params, net *mesh.Net, sc, lazy bool) *inv {
 	return v
 }
 
-// InstrumentMetrics wires the store buffers' per-event metric handles
-// (implements metrics.Instrumentable).
-func (v *inv) InstrumentMetrics(r *metrics.Registry) {
-	v.instrumentStoreBuffers(r, v.sb)
+// PublishMetrics harvests the base hardware and the store buffers into r
+// (implements metrics.Publisher).
+func (v *inv) PublishMetrics(r *metrics.Registry) {
+	v.base.PublishMetrics(r)
+	publishStoreBuffers(r, v.sb)
 }
 
 func (v *inv) Name() memsys.Kind {

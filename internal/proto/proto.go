@@ -99,15 +99,22 @@ func newBase(p memsys.Params, net *mesh.Net) base {
 
 func (b *base) Counters() *memsys.Counters { return b.ctr }
 
-// instrumentStoreBuffers wires every node's store buffer to one shared set
-// of metric handles (per-node attribution is not needed by the gate).
-func (b *base) instrumentStoreBuffers(r *metrics.Registry, sbs []*wbuffer.StoreBuffer) {
+// publishStoreBuffers harvests every node's store-buffer counts into one
+// machine-wide set of metrics (per-node attribution is not needed by the
+// gate).
+func publishStoreBuffers(r *metrics.Registry, sbs []*wbuffer.StoreBuffer) {
 	occ := r.Histogram("wbuffer.occupancy", wbuffer.OccupancyBuckets)
 	full := r.Counter("wbuffer.full_stall_cycles")
 	flush := r.Counter("wbuffer.flush_stall_cycles")
 	flushes := r.Counter("wbuffer.flushes")
 	for _, sb := range sbs {
-		sb.Instrument(occ, full, flush, flushes)
+		st := sb.Stats()
+		for k, n := range st.Occupancy {
+			occ.ObserveN(uint64(k), n)
+		}
+		full.Add(st.FullStall)
+		flush.Add(st.FlushStall)
+		flushes.Add(st.Flushes)
 	}
 }
 

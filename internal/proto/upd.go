@@ -42,14 +42,16 @@ func newUpd(p memsys.Params, net *mesh.Net, mode updMode) *upd {
 	return u
 }
 
-// InstrumentMetrics wires the store and merge buffers' per-event metric
-// handles (implements metrics.Instrumentable).
-func (u *upd) InstrumentMetrics(r *metrics.Registry) {
-	u.instrumentStoreBuffers(r, u.sb)
+// PublishMetrics harvests the base hardware and the store and merge
+// buffers into r (implements metrics.Publisher).
+func (u *upd) PublishMetrics(r *metrics.Registry) {
+	u.base.PublishMetrics(r)
+	publishStoreBuffers(r, u.sb)
 	merges := r.Counter("wbuffer.merges")
 	evictions := r.Counter("wbuffer.merge_evictions")
 	for _, mb := range u.mb {
-		mb.Instrument(merges, evictions)
+		merges.Add(mb.Merges())
+		evictions.Add(mb.Evictions())
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"zsim/internal/machine"
+	"zsim/internal/memsys"
 )
 
 // withParallelism runs f with the pool bound set to n, restoring the
@@ -116,6 +119,42 @@ func TestGridPanicDrainsPool(t *testing.T) {
 						panic(fmt.Sprintf("boom %d", i))
 					}
 					return i, nil
+				})
+			})
+		})
+	}
+}
+
+// TestGridMachineBodyPanic: a panic inside a simulated processor's body
+// (on the engine's processor goroutine, not the cell's) surfaces as Grid's
+// re-raised panic, and every other cell's machine still runs to completion.
+func TestGridMachineBodyPanic(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
+			withParallelism(par, func() {
+				done := make([]bool, 8)
+				defer func() {
+					if r := recover(); fmt.Sprint(r) != "body boom 3" {
+						t.Fatalf("recovered %v, want \"body boom 3\"", r)
+					}
+					for i, d := range done {
+						if !d && i != 3 {
+							t.Fatalf("cell %d did not complete after cell 3's body panicked", i)
+						}
+					}
+				}()
+				Grid(8, func(i int) (memsys.Time, error) {
+					m := machine.MustNew(memsys.KindRCInv, memsys.Default(4))
+					a := m.Alloc(8)
+					res := m.Run("panic", func(e *machine.Env) {
+						e.StoreU64(a, uint64(e.ID()))
+						if i == 3 && e.ID() == 2 {
+							panic(fmt.Sprintf("body boom %d", i))
+						}
+						e.LoadU64(a)
+					})
+					done[i] = true
+					return res.ExecTime, nil
 				})
 			})
 		})

@@ -61,11 +61,13 @@ const (
 	yieldRunnable yieldKind = iota // back on the run queue
 	yieldBlocked                   // waiting for an Unblock
 	yieldDone                      // body returned
+	yieldPanicked                  // body panicked with val
 )
 
 type yieldMsg struct {
 	p    *Proc
 	kind yieldKind
+	val  any // the panic value, for yieldPanicked
 }
 
 // Sync yields to the engine and returns when this processor is again the
@@ -89,8 +91,11 @@ func (p *Proc) Sync() {
 		e.fastPathHits++
 		return
 	}
-	e.yield <- yieldMsg{p, yieldRunnable}
+	e.yield <- yieldMsg{p: p, kind: yieldRunnable}
 	<-p.resume
+	if e.aborting {
+		panic(abortRun{})
+	}
 }
 
 // Block parks the processor until another processor calls Unblock on it.
@@ -101,7 +106,7 @@ func (p *Proc) Block(reason string) {
 	}
 	p.blocked = true
 	p.blockReason = reason
-	p.eng.yield <- yieldMsg{p, yieldBlocked}
+	p.eng.yield <- yieldMsg{p: p, kind: yieldBlocked}
 	<-p.resume
 	if p.eng.aborting {
 		panic(abortRun{})
@@ -115,7 +120,7 @@ func (p *Proc) Block(reason string) {
 func (p *Proc) Unblock(t Time) {
 	if !p.blocked {
 		if p.eng.aborting {
-			// A deferred release during the deadlock drain may target a
+			// A deferred release during the teardown drain may target a
 			// processor the engine has already forced out; let the unwind
 			// proceed.
 			return
@@ -132,7 +137,8 @@ func (p *Proc) Unblock(t Time) {
 func (p *Proc) Blocked() bool { return p.blocked }
 
 // abortRun is the sentinel panic used to unwind parked processor goroutines
-// when a deadlocked Run tears down; the per-processor wrappers recover it.
+// when a Run tears down after a deadlock or a panicking body; the
+// per-processor wrappers recover it.
 type abortRun struct{}
 
 // Engine schedules a fixed set of simulated processors.
@@ -141,34 +147,22 @@ type Engine struct {
 	runq  procHeap
 	yield chan yieldMsg
 	// drained receives one signal per processor goroutine unwound by the
-	// deadlock teardown; aborting makes Sync/Block panic(abortRun{}) instead
-	// of yielding, so unwinding bodies can never wedge on engine channels.
+	// teardown; aborting makes Sync/Block panic(abortRun{}) instead of
+	// yielding, so unwinding bodies can never wedge on engine channels.
 	drained  chan struct{}
 	aborting bool
 
-	// Instrumentation. The hot-path counts are plain fields (the engine is
-	// single-threaded) harvested into a metrics registry by PublishMetrics;
-	// only the run-queue depth histogram and deadlock-drain counter are
-	// recorded live, because they cannot be reconstructed afterwards.
-	switches     uint64 // processor resumptions (scheduling events)
-	blocks       uint64 // Block calls observed
-	fastPathHits uint64 // Sync calls that skipped the yield/resume handoff
-
-	mRunqDepth *metrics.Histogram // runnable procs remaining after each pop
-	mDrains    *metrics.Counter   // goroutines unwound by deadlock teardown
+	// Instrumentation: plain counts (the engine is single-threaded),
+	// harvested into a metrics registry by PublishMetrics.
+	switches     uint64   // processor resumptions (scheduling events)
+	blocks       uint64   // Block calls observed
+	fastPathHits uint64   // Sync calls that skipped the yield/resume handoff
+	runqDepth    []uint64 // runqDepth[d]: pops that left d procs runnable
 }
 
 // RunqDepthBuckets are the inclusive upper bounds of the sim.runq_depth
 // histogram: how many processors were runnable behind each scheduling pop.
 var RunqDepthBuckets = []uint64{0, 1, 2, 4, 8, 16, 32, 64} //zlint:ignore globalmut immutable bucket bounds, never written after package init
-
-// InstrumentMetrics attaches per-event metric handles (implements
-// metrics.Instrumentable). Harvested totals are published separately by
-// PublishMetrics at the end of a run.
-func (e *Engine) InstrumentMetrics(r *metrics.Registry) {
-	e.mRunqDepth = r.Histogram("sim.runq_depth", RunqDepthBuckets)
-	e.mDrains = r.Counter("sim.deadlock_drains")
-}
 
 // PublishMetrics harvests the engine's plain instrumentation counts into r
 // (implements metrics.Publisher). sim.yields is the total number of
@@ -178,6 +172,10 @@ func (e *Engine) PublishMetrics(r *metrics.Registry) {
 	r.Counter("sim.blocks").Add(e.blocks)
 	r.Counter("sim.fastpath_hits").Add(e.fastPathHits)
 	r.Counter("sim.yields").Add(e.fastPathHits + e.switches)
+	h := r.Histogram("sim.runq_depth", RunqDepthBuckets)
+	for d, n := range e.runqDepth {
+		h.ObserveN(uint64(d), n)
+	}
 }
 
 // NewEngine creates an engine with n processors, all with clock zero.
@@ -186,10 +184,11 @@ func NewEngine(n int) *Engine {
 		panic("sim: engine needs at least one processor")
 	}
 	e := &Engine{
-		procs:   make([]*Proc, 0, n),
-		runq:    make(procHeap, 0, n),
-		yield:   make(chan yieldMsg),
-		drained: make(chan struct{}),
+		procs:     make([]*Proc, 0, n),
+		runq:      make(procHeap, 0, n),
+		yield:     make(chan yieldMsg),
+		drained:   make(chan struct{}),
+		runqDepth: make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
 		e.procs = append(e.procs, &Proc{id: i, eng: e, resume: make(chan struct{})})
@@ -208,7 +207,9 @@ func (e *Engine) push(p *Proc) { e.runq.push(p) }
 // Run executes body on every processor (as goroutines multiplexed onto this
 // OS thread's attention one at a time) and returns the maximum finishing
 // clock, i.e. the parallel execution time. Run panics with a state dump if
-// the simulation deadlocks (all unfinished processors blocked).
+// the simulation deadlocks (all unfinished processors blocked). If a body
+// panics, Run unwinds every other processor and re-panics the same value
+// on the caller's goroutine, where it can be recovered.
 func (e *Engine) Run(body func(p *Proc)) Time {
 	e.aborting = false
 	for _, p := range e.procs {
@@ -223,11 +224,14 @@ func (e *Engine) Run(body func(p *Proc)) Time {
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {
-					if _, ok := r.(abortRun); ok {
+					if _, ok := r.(abortRun); ok || e.aborting {
+						// Unwound by the teardown (a panic raised by a
+						// body's defers mid-teardown is dropped with it).
 						e.drained <- struct{}{}
 						return
 					}
-					panic(r)
+					p.done = true
+					e.yield <- yieldMsg{p: p, kind: yieldPanicked, val: r}
 				}
 			}()
 			<-p.resume
@@ -236,7 +240,7 @@ func (e *Engine) Run(body func(p *Proc)) Time {
 			}
 			body(p)
 			p.done = true
-			e.yield <- yieldMsg{p, yieldDone}
+			e.yield <- yieldMsg{p: p, kind: yieldDone}
 		}()
 	}
 	remaining := len(e.procs)
@@ -245,11 +249,11 @@ func (e *Engine) Run(body func(p *Proc)) Time {
 		p, ok := e.runq.pop()
 		if !ok {
 			dump := e.stateDump()
-			e.drainDeadlocked()
+			e.drain()
 			panic("sim: deadlock\n" + dump)
 		}
 		e.switches++
-		e.mRunqDepth.Observe(uint64(len(e.runq)))
+		e.runqDepth[len(e.runq)]++
 		p.resume <- struct{}{}
 		m := <-e.yield
 		switch m.kind {
@@ -263,26 +267,29 @@ func (e *Engine) Run(body func(p *Proc)) Time {
 			if m.p.clock > finish {
 				finish = m.p.clock
 			}
+		case yieldPanicked:
+			e.drain()
+			panic(m.val)
 		}
 	}
 	return finish
 }
 
-// drainDeadlocked unwinds every parked processor goroutine before the
-// deadlock panic propagates, so repeated Run calls (tests recovering the
-// panic) don't accumulate goroutines. Each parked processor is resumed in
-// turn; Block (and any Sync/Block reached while its body's defers unwind)
-// sees aborting and panics abortRun, which the goroutine wrapper recovers,
-// signalling drained on its way out. Processors re-queued by deferred
-// releases during the unwind are drained from the run queue afterwards.
-func (e *Engine) drainDeadlocked() {
+// drain unwinds every parked processor goroutine before a deadlock or
+// body panic propagates out of Run, so repeated Run calls (callers
+// recovering the panic) don't accumulate goroutines. Each parked
+// processor is resumed in turn; Block or Sync (and any Sync/Block reached
+// while its body's defers unwind) sees aborting and panics abortRun, which
+// the goroutine wrapper recovers, signalling drained on its way out.
+// Runnable processors, and those re-queued by deferred releases during the
+// unwind, are drained from the run queue afterwards.
+func (e *Engine) drain() {
 	e.aborting = true
 	for _, p := range e.procs {
 		if !p.done && p.blocked {
 			p.blocked = false
 			p.resume <- struct{}{}
 			<-e.drained
-			e.mDrains.Inc()
 		}
 	}
 	for {
@@ -295,7 +302,6 @@ func (e *Engine) drainDeadlocked() {
 		}
 		p.resume <- struct{}{}
 		<-e.drained
-		e.mDrains.Inc()
 	}
 	e.aborting = false
 }

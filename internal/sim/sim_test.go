@@ -401,6 +401,64 @@ func TestEngineReusableAfterDeadlock(t *testing.T) {
 	}
 }
 
+// TestBodyPanicReachesCaller: a panic in a processor's body surfaces from
+// Run on the caller's goroutine with the original value, after every other
+// processor — parked in Sync, blocked, or not yet started — has unwound;
+// the engine then runs cleanly again.
+func TestBodyPanicReachesCaller(t *testing.T) {
+	type boom struct{ id int }
+	bodies := map[string]func(p *Proc){
+		"before-others-start": func(p *Proc) { panic(boom{p.ID()}) },
+		"mid-run": func(p *Proc) {
+			switch p.ID() {
+			case 0:
+				p.Advance(5)
+				p.Sync()
+				panic(boom{0})
+			case 1:
+				p.Block("forever")
+			default:
+				for i := 0; i < 100; i++ {
+					p.Advance(1)
+					p.Sync()
+				}
+			}
+		},
+	}
+	for name, body := range bodies {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(4)
+			run := func() {
+				defer func() {
+					if r := recover(); r != (boom{0}) {
+						t.Fatalf("recovered %v, want %v", r, boom{0})
+					}
+				}()
+				e.Run(body)
+			}
+			run() // warm up any runtime-internal goroutines
+			before := runtime.NumGoroutine()
+			for i := 0; i < 50; i++ {
+				run()
+			}
+			var after int
+			for i := 0; i < 100; i++ {
+				runtime.Gosched()
+				if after = runtime.NumGoroutine(); after <= before {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if after > before+4 {
+				t.Fatalf("goroutines grew from %d to %d across 50 panicking Runs", before, after)
+			}
+			if finish := e.Run(func(p *Proc) { p.Advance(7); p.Sync() }); finish != 7 {
+				t.Fatalf("finish after panics = %d, want 7", finish)
+			}
+		})
+	}
+}
+
 // TestStateDumpHasFastPath: the deadlock dump carries the scheduler
 // counters, including fast-path hits.
 func TestStateDumpHasFastPath(t *testing.T) {

@@ -10,10 +10,7 @@
 // entries retire (buffer flush).
 package wbuffer
 
-import (
-	"zsim/internal/memsys"
-	"zsim/internal/metrics"
-)
+import "zsim/internal/memsys"
 
 // OccupancyBuckets are the inclusive upper bounds of the
 // wbuffer.occupancy histogram (in-flight entries seen at each Reserve).
@@ -25,23 +22,16 @@ var OccupancyBuckets = []uint64{0, 1, 2, 4, 8, 16} //zlint:ignore globalmut immu
 type StoreBuffer struct {
 	cap     int
 	pending []memsys.Time // completion times, unordered
-
-	// Per-event metric handles (nil unless Instrument was called). Shared
-	// across a machine's buffers: they are atomic, and per-node attribution
-	// is not needed for the regression gate.
-	mOccupancy  *metrics.Histogram // entries in flight at each Reserve
-	mFullStall  *metrics.Counter   // cycles stalled on a full buffer
-	mFlushStall *metrics.Counter   // cycles stalled draining at releases
-	mFlushes    *metrics.Counter   // DrainStall calls with entries pending
+	stats   StoreStats
 }
 
-// Instrument attaches per-event metric handles, all nil-safe; the protocol
-// that owns the buffer wires every node's buffer to the same handles.
-func (b *StoreBuffer) Instrument(occupancy *metrics.Histogram, fullStall, flushStall, flushes *metrics.Counter) {
-	b.mOccupancy = occupancy
-	b.mFullStall = fullStall
-	b.mFlushStall = flushStall
-	b.mFlushes = flushes
+// StoreStats are a store buffer's plain self-metric counts; the protocol
+// that owns the buffer publishes them at the end of a run.
+type StoreStats struct {
+	Occupancy  []uint64 // Occupancy[k]: Reserve calls that found k entries in flight
+	FullStall  uint64   // cycles stalled on a full buffer
+	FlushStall uint64   // cycles stalled draining at releases
+	Flushes    uint64   // DrainStall calls with entries pending
 }
 
 // NewStore returns a store buffer with the given number of entries.
@@ -49,11 +39,14 @@ func NewStore(entries int) *StoreBuffer {
 	if entries <= 0 {
 		panic("wbuffer: store buffer needs at least one entry")
 	}
-	return &StoreBuffer{cap: entries}
+	return &StoreBuffer{cap: entries, stats: StoreStats{Occupancy: make([]uint64, entries+1)}}
 }
 
 // Cap returns the buffer's capacity.
 func (b *StoreBuffer) Cap() int { return b.cap }
+
+// Stats returns the buffer's counts so far.
+func (b *StoreBuffer) Stats() StoreStats { return b.stats }
 
 // retire drops entries completed by now.
 func (b *StoreBuffer) retire(now memsys.Time) {
@@ -78,7 +71,7 @@ func (b *StoreBuffer) Pending(now memsys.Time) int {
 // Add the new entry's completion time.
 func (b *StoreBuffer) Reserve(now memsys.Time) (stall memsys.Time) {
 	b.retire(now)
-	b.mOccupancy.Observe(uint64(len(b.pending)))
+	b.stats.Occupancy[len(b.pending)]++
 	if len(b.pending) < b.cap {
 		return 0
 	}
@@ -91,7 +84,7 @@ func (b *StoreBuffer) Reserve(now memsys.Time) (stall memsys.Time) {
 	}
 	stall = min - now
 	b.retire(min)
-	b.mFullStall.Add(uint64(stall))
+	b.stats.FullStall += uint64(stall)
 	return stall
 }
 
@@ -127,11 +120,11 @@ func (b *StoreBuffer) DrainStall(now memsys.Time) (stall memsys.Time) {
 		}
 	}
 	if len(b.pending) > 0 {
-		b.mFlushes.Inc()
+		b.stats.Flushes++
 	}
 	b.pending = b.pending[:0]
 	if max > now {
-		b.mFlushStall.Add(uint64(max - now))
+		b.stats.FlushStall += uint64(max - now)
 		return max - now
 	}
 	return 0
@@ -144,14 +137,8 @@ type MergeBuffer struct {
 	cap   int
 	lines []memsys.Addr // FIFO, oldest first
 
-	mMerges    *metrics.Counter // writes combined into a merging line
-	mEvictions *metrics.Counter // lines displaced by a full buffer
-}
-
-// Instrument attaches per-event metric handles (nil-safe).
-func (m *MergeBuffer) Instrument(merges, evictions *metrics.Counter) {
-	m.mMerges = merges
-	m.mEvictions = evictions
+	merges    uint64 // writes combined into a merging line
+	evictions uint64 // lines displaced by a full buffer
 }
 
 // NewMerge returns a merge buffer holding cap cache lines (the paper uses 1).
@@ -164,6 +151,12 @@ func NewMerge(cap int) *MergeBuffer {
 
 // Cap returns the merge buffer capacity in lines.
 func (m *MergeBuffer) Cap() int { return m.cap }
+
+// Merges returns the number of writes combined into a merging line.
+func (m *MergeBuffer) Merges() uint64 { return m.merges }
+
+// Evictions returns the number of lines displaced by a full buffer.
+func (m *MergeBuffer) Evictions() uint64 { return m.evictions }
 
 // Len returns the number of merging lines.
 func (m *MergeBuffer) Len() int { return len(m.lines) }
@@ -184,14 +177,14 @@ func (m *MergeBuffer) Contains(line memsys.Addr) bool {
 // can emit its update message.
 func (m *MergeBuffer) Put(line memsys.Addr) (victim memsys.Addr, evicted bool) {
 	if m.Contains(line) {
-		m.mMerges.Inc()
+		m.merges++
 		return 0, false
 	}
 	if len(m.lines) == m.cap {
 		victim = m.lines[0]
 		copy(m.lines, m.lines[1:])
 		m.lines[len(m.lines)-1] = line
-		m.mEvictions.Inc()
+		m.evictions++
 		return victim, true
 	}
 	m.lines = append(m.lines, line)

@@ -131,12 +131,12 @@ func (s *Server) Close() {
 // the job without taking down the worker.
 func (s *Server) runJob(j *job) {
 	if !j.tryStart(time.Now()) {
-		counter("zsimd.jobs_canceled").Inc()
+		count("zsimd.jobs_canceled", 1)
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			counter("zsimd.jobs_failed").Inc()
+			count("zsimd.jobs_failed", 1)
 			j.finish(JobFailed, fmt.Sprintf("cell panic: %v", r), time.Now())
 		}
 	}()
@@ -157,8 +157,8 @@ func (s *Server) runJob(j *job) {
 		// A store read error degrades to a re-simulation, not a failure.
 		miss = append(miss, i)
 	}
-	counter("zsimd.cache_hits").Add(uint64(hits))
-	counter("zsimd.cache_misses").Add(uint64(len(miss)))
+	count("zsimd.cache_hits", uint64(hits))
+	count("zsimd.cache_misses", uint64(len(miss)))
 
 	_, err := runner.Grid(len(miss), func(k int) (struct{}, error) {
 		i := miss[k]
@@ -195,24 +195,23 @@ func (s *Server) runJob(j *job) {
 
 	switch {
 	case errors.Is(err, errCanceled):
-		counter("zsimd.jobs_canceled").Inc()
+		count("zsimd.jobs_canceled", 1)
 		j.finish(JobCanceled, "", time.Now())
 	case err != nil:
-		counter("zsimd.jobs_failed").Inc()
+		count("zsimd.jobs_failed", 1)
 		j.finish(JobFailed, err.Error(), time.Now())
 	default:
-		counter("zsimd.jobs_done").Inc()
+		count("zsimd.jobs_done", 1)
 		j.finish(JobDone, "", time.Now())
 	}
 }
 
-// counter fetches a named daemon counter from the global registry (a
-// no-op handle when metrics are disabled).
-func counter(name string) *metrics.Counter {
-	if !metrics.Enabled() {
-		return nil
+// count adds n to a named daemon counter in the global registry when
+// metrics are enabled.
+func count(name string, n uint64) {
+	if metrics.Enabled() {
+		metrics.Default.Counter(name).Add(n)
 	}
-	return metrics.Default.Counter(name)
 }
 
 // --- HTTP handlers ---
@@ -269,12 +268,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.nextID--
 		s.mu.Unlock()
-		counter("zsimd.jobs_rejected").Inc()
+		count("zsimd.jobs_rejected", 1)
 		writeJSON(w, http.StatusServiceUnavailable,
 			apiError{Error: fmt.Sprintf("job queue full (%d queued); retry later", cap(s.queue))})
 		return
 	}
-	counter("zsimd.jobs_submitted").Inc()
+	count("zsimd.jobs_submitted", 1)
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 

@@ -154,10 +154,13 @@ func TestInvalidSubmissionsRejected(t *testing.T) {
 		{"negative seed", zsimd.CellSpec{Type: zsimd.TypeLitmus, Seed: -3}, "seed"},
 		{"params wrong shape", zsimd.CellSpec{Type: zsimd.TypeLitmus, Params: json.RawMessage(`[4]`)}, "params"},
 		{"params unknown field", zsimd.CellSpec{Type: zsimd.TypeLitmus, Params: json.RawMessage(`{"Porcs":4}`)}, "unknown field"},
-		// A client still naming the retired kernel-shard count (spelled in
-		// two halves so the removed identifier appears nowhere in the tree).
+		// Clients still naming a retired field: the kernel-shard count and
+		// the never-read cache-hit latency (each spelled in two halves so
+		// the removed identifiers appear nowhere in the tree).
 		{"params retired field", zsimd.CellSpec{Type: zsimd.TypeBenchmark, App: "is", System: "rcinv",
 			Params: json.RawMessage(`{"Procs":4,"Kernel` + `Shards":4}`)}, "unknown field"},
+		{"params retired hit latency", zsimd.CellSpec{Type: zsimd.TypeBenchmark, App: "is", System: "rcinv",
+			Params: json.RawMessage(`{"Procs":4,"Cache` + `HitLatency":1}`)}, "unknown field"},
 		{"procs over cap", zsimd.CellSpec{Type: zsimd.TypeLitmus, Params: json.RawMessage(`{"Procs":1025}`)}, "exceeds"},
 		{"procs zero", zsimd.CellSpec{Type: zsimd.TypeLitmus, Params: json.RawMessage(`{"Procs":0}`)}, "Procs"},
 	}

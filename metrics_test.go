@@ -225,3 +225,55 @@ func TestMetricsGridRepeatable(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramsMatchTheirCounters pins each harvested distribution to the
+// counter it summarizes: one run-queue depth per context switch, one hop
+// count per mesh message, and one store-buffer occupancy per write miss on
+// the release-consistent systems (none on SCinv, which never buffers).
+func TestHistogramsMatchTheirCounters(t *testing.T) {
+	for _, kind := range []Kind{RCInv, RCUpd, SCInv} {
+		for _, topo := range []string{"mesh", "bus", "hier"} {
+			t.Run(string(kind)+"/"+topo, func(t *testing.T) {
+				withMetrics(true, func() {
+					params := DefaultParams(16)
+					params.Topology = topo
+					app, err := NewBenchmark("maxflow", ScaleSmall)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := NewMachine(kind, params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := RunAppOn(app, m); err != nil {
+						t.Fatal(err)
+					}
+					s := m.Metrics()
+					pairs := []struct {
+						hist, counter string
+						want          uint64
+					}{
+						{"sim.runq_depth", "sim.switches", s.Counter("sim.switches")},
+						{"mesh.hops", "mesh.msgs", s.Counter("mesh.msgs")},
+						{"wbuffer.occupancy", "proto.write_misses", s.Counter("proto.write_misses")},
+					}
+					if kind == SCInv {
+						pairs[2].counter, pairs[2].want = "nothing (SCinv)", 0
+					}
+					for _, p := range pairs {
+						h, ok := s.Histograms[p.hist]
+						if !ok {
+							t.Fatalf("%s missing from the harvest", p.hist)
+						}
+						if h.Count != p.want {
+							t.Errorf("%s count = %d, want %s = %d", p.hist, h.Count, p.counter, p.want)
+						}
+					}
+					if s.Counter("sim.switches") == 0 || s.Counter("mesh.msgs") == 0 {
+						t.Fatalf("run produced no switches or messages:\n%s", s.String())
+					}
+				})
+			})
+		}
+	}
+}
