@@ -49,6 +49,11 @@ type Line struct {
 }
 
 // Cache is a private cache holding Line metadata keyed by line index.
+//
+// A resident line's State is never Invalid: Insert returns it Shared, the
+// protocols only ever promote it to Shared or Modified, and removal goes
+// through Invalidate. The infinite cache relies on this rule to tell a
+// resident slot from an empty one without a separate valid bit.
 type Cache interface {
 	// Lookup returns the line's metadata if present (any state but Invalid).
 	Lookup(line memsys.Addr) (*Line, bool)
@@ -71,43 +76,38 @@ type Cache interface {
 }
 
 // NewInfinite returns an unbounded cache (the paper's default). Lines live
-// in a paged flat table indexed by line number with an explicit valid bit —
-// the shared heap is a bump allocator, so line numbers are dense from zero
-// and a lookup on the per-access hot path is two array indexings with no
-// hashing, no per-line pointer, and no steady-state allocation.
+// in a paged flat table indexed by line number, and a slot is resident
+// exactly when its State is not Invalid — the shared heap is a bump
+// allocator, so line numbers are dense from zero and a lookup on the
+// per-access hot path is two array indexings with no hashing, no per-line
+// pointer, and no steady-state allocation.
 func NewInfinite() Cache { return &infinite{} }
 
-// islot is one paged-table slot: the line metadata plus its presence bit.
-type islot struct {
-	l     Line
-	valid bool
-}
-
 type infinite struct {
-	t memsys.Paged[islot]
-	n int // resident (valid) lines
+	t memsys.Paged[Line]
+	n int // resident lines
 }
 
 func (c *infinite) Lookup(line memsys.Addr) (*Line, bool) {
-	s := c.t.Peek(uint64(line))
-	if s == nil || !s.valid {
+	l := c.t.Peek(uint64(line))
+	if l == nil || l.State == Invalid {
 		return nil, false
 	}
-	return &s.l, true
+	return l, true
 }
 
 func (c *infinite) Insert(line memsys.Addr) (*Line, memsys.Addr, State, bool) {
-	s := c.t.At(uint64(line))
-	if !s.valid {
-		*s = islot{l: Line{State: Shared}, valid: true}
+	l := c.t.At(uint64(line))
+	if l.State == Invalid {
+		*l = Line{State: Shared}
 		c.n++
 	}
-	return &s.l, 0, Invalid, false
+	return l, 0, Invalid, false
 }
 
 func (c *infinite) Invalidate(line memsys.Addr) {
-	if s := c.t.Peek(uint64(line)); s != nil && s.valid {
-		s.valid = false
+	if l := c.t.Peek(uint64(line)); l != nil && l.State != Invalid {
+		l.State = Invalid
 		c.n--
 	}
 }
@@ -117,9 +117,9 @@ func (c *infinite) Len() int          { return c.n }
 func (c *infinite) Evictions() uint64 { return 0 }
 
 func (c *infinite) ForEach(f func(memsys.Addr, *Line)) {
-	c.t.ForEach(func(i uint64, s *islot) {
-		if s.valid {
-			f(memsys.Addr(i), &s.l)
+	c.t.ForEach(func(i uint64, l *Line) {
+		if l.State != Invalid {
+			f(memsys.Addr(i), l)
 		}
 	})
 }

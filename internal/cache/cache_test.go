@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zsim/internal/memsys"
 )
@@ -206,5 +207,52 @@ func TestStateString(t *testing.T) {
 	}
 	if State(99).String() != "?" {
 		t.Fatal("unknown state should print ?")
+	}
+}
+
+// A Line is the infinite cache's whole slot: residency is State != Invalid,
+// with no separate valid bit, so the slot stays four words.
+func TestLineLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 32 {
+		t.Fatalf("sizeof(Line) = %d, want 32", got)
+	}
+}
+
+// Invalidate must hide a line whatever metadata it carried, and a re-insert
+// must start the line over as a fresh Shared copy, on both implementations.
+func TestInvalidateClearsResidencyAndReinsertResets(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Cache
+	}{{"infinite", NewInfinite()}, {"finite", NewFinite(64, 4)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			const a = memsys.Addr(300) // off the first 256-slot page
+			c.Insert(a + 1)
+			l, _, _, _ := c.Insert(a)
+			l.State = Modified
+			l.ReadyAt = 77
+			l.Updates = 3
+			l.Version = 9
+			c.Invalidate(a)
+			if _, ok := c.Lookup(a); ok {
+				t.Fatal("Lookup hit an invalidated line")
+			}
+			if c.Len() != 1 {
+				t.Fatalf("Len = %d after invalidate, want 1", c.Len())
+			}
+			c.ForEach(func(line memsys.Addr, _ *Line) {
+				if line == a {
+					t.Fatal("ForEach visited an invalidated line")
+				}
+			})
+			l, _, _, _ = c.Insert(a)
+			if *l != (Line{State: Shared}) {
+				t.Fatalf("re-inserted line = %+v, want a fresh Shared line", *l)
+			}
+			if c.Len() != 2 {
+				t.Fatalf("Len = %d after re-insert, want 2", c.Len())
+			}
+		})
 	}
 }

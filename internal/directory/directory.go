@@ -145,7 +145,11 @@ func (b *Bitset) List() []int {
 
 // Entry is a directory entry for one cache line.
 type Entry struct {
-	State   State
+	State State
+	// touched marks an entry the directory has handed out, telling it apart
+	// from the zero value of an untouched slot in the same page. It sits in
+	// State's padding, so the entry stays 48 bytes.
+	touched bool
 	Sharers Bitset
 	Owner   int // valid when State == Dirty
 
@@ -168,13 +172,6 @@ func (e *Entry) String() string {
 	return fmt.Sprintf("{%s sharers=%v owner=%d avail=%d v%d}", e.State, e.Sharers.List(), e.Owner, e.AvailableAt, e.Version)
 }
 
-// dslot is one paged-table slot of a home's directory: the entry plus a
-// valid bit distinguishing a touched line from the zero value.
-type dslot struct {
-	e     Entry
-	valid bool
-}
-
 // Directory is the collection of all nodes' directories. Each home keeps
 // its entries in a paged flat table indexed by the line's per-home slot
 // (line / procs — lines are interleaved round-robin, so the slots of one
@@ -184,13 +181,13 @@ type dslot struct {
 type Directory struct {
 	procs    int
 	lineSize int
-	homes    []memsys.Paged[dslot]
+	homes    []memsys.Paged[Entry]
 	allocs   uint64 // entries ever created (directory occupancy growth)
 }
 
 // New creates directories for every node.
 func New(procs, lineSize int) *Directory {
-	return &Directory{procs: procs, lineSize: lineSize, homes: make([]memsys.Paged[dslot], procs)}
+	return &Directory{procs: procs, lineSize: lineSize, homes: make([]memsys.Paged[Entry], procs)}
 }
 
 // Home returns the home node of the line containing addr.
@@ -203,23 +200,23 @@ func (d *Directory) Home(addr memsys.Addr) int {
 func (d *Directory) Entry(addr memsys.Addr) *Entry {
 	line := memsys.Line(addr, d.lineSize)
 	home := int(line % memsys.Addr(d.procs))
-	s := d.homes[home].At(uint64(line) / uint64(d.procs))
-	if !s.valid {
-		s.valid = true
+	e := d.homes[home].At(uint64(line) / uint64(d.procs))
+	if !e.touched {
+		e.touched = true
 		d.allocs++
 	}
-	return &s.e
+	return e
 }
 
 // Lookup returns the entry if it exists (the line has been touched).
 func (d *Directory) Lookup(addr memsys.Addr) (*Entry, bool) {
 	line := memsys.Line(addr, d.lineSize)
 	home := int(line % memsys.Addr(d.procs))
-	s := d.homes[home].Peek(uint64(line) / uint64(d.procs))
-	if s == nil || !s.valid {
+	e := d.homes[home].Peek(uint64(line) / uint64(d.procs))
+	if e == nil || !e.touched {
 		return nil, false
 	}
-	return &s.e, true
+	return e, true
 }
 
 // Allocs returns the number of entries ever created. Entries are never
@@ -239,9 +236,9 @@ func (d *Directory) LineSize() int { return d.lineSize }
 // for invariant checking and debugging.
 func (d *Directory) ForEach(f func(line memsys.Addr, e *Entry)) {
 	for home := range d.homes {
-		d.homes[home].ForEach(func(slot uint64, s *dslot) {
-			if s.valid {
-				f(memsys.Addr(slot)*memsys.Addr(d.procs)+memsys.Addr(home), &s.e)
+		d.homes[home].ForEach(func(slot uint64, e *Entry) {
+			if e.touched {
+				f(memsys.Addr(slot)*memsys.Addr(d.procs)+memsys.Addr(home), e)
 			}
 		})
 	}

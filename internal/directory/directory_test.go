@@ -3,6 +3,7 @@ package directory
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zsim/internal/memsys"
 )
@@ -269,5 +270,38 @@ func TestForEachVisitsAllEntries(t *testing.T) {
 	})
 	if n != 10 {
 		t.Fatalf("visited %d entries, want 10", n)
+	}
+}
+
+// The touched flag lives in State's padding: an Entry is the directory's
+// whole slot and stays six words.
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 48 {
+		t.Fatalf("sizeof(Entry) = %d, want 48", got)
+	}
+}
+
+// Touching one line allocates its whole page of slots; the neighbours on
+// that page are zero values and must stay invisible until they are touched.
+func TestUntouchedSlotInTouchedPageInvisible(t *testing.T) {
+	const procs, lineSize = 4, 32
+	d := New(procs, lineSize)
+	touched := memsys.Addr(0) // home 0, slot 0
+	neighbour := memsys.Addr(procs * lineSize)
+	d.Entry(touched)
+	if _, ok := d.Lookup(neighbour); ok {
+		t.Fatal("Lookup found an untouched slot of a touched page")
+	}
+	var seen []memsys.Addr
+	d.ForEach(func(line memsys.Addr, _ *Entry) { seen = append(seen, line) })
+	if len(seen) != 1 || seen[0] != touched/lineSize {
+		t.Fatalf("ForEach visited lines %v, want only [%d]", seen, touched/lineSize)
+	}
+	if d.Allocs() != 1 {
+		t.Fatalf("Allocs = %d, want 1", d.Allocs())
+	}
+	d.Entry(neighbour)
+	if _, ok := d.Lookup(neighbour); !ok || d.Allocs() != 2 {
+		t.Fatalf("touched neighbour: found=%v Allocs=%d, want true and 2", ok, d.Allocs())
 	}
 }

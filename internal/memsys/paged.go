@@ -11,10 +11,12 @@ package memsys
 // no allocation.
 
 const (
-	// pageShift sets the page size: 1<<pageShift elements per page. 4096
-	// elements keeps the page vector tiny for realistic heaps while bounding
-	// the over-allocation of a sparse touch to one slab.
-	pageShift = 12
+	// pageShift sets the page size: 1<<pageShift elements per page. Most
+	// homes and caches of a small machine touch only a few hundred slots,
+	// and a page is zeroed on allocation (and scanned by the GC if T holds
+	// pointers), so 256 elements keeps a sparse touch cheap while the page
+	// vector of a paper-scale heap stays short.
+	pageShift = 8
 	pageLen   = 1 << pageShift
 	pageMask  = pageLen - 1
 )
@@ -27,7 +29,7 @@ const (
 // Paged is not safe for concurrent use, matching the maps it replaces (the
 // simulation kernel serializes globally visible operations).
 type Paged[T any] struct {
-	pages [][]T
+	pages []*[pageLen]T
 }
 
 // At returns a pointer to element i, allocating its page on first touch.
@@ -39,7 +41,7 @@ func (t *Paged[T]) At(i uint64) *T {
 	}
 	p := t.pages[pi]
 	if p == nil {
-		p = make([]T, pageLen)
+		p = new([pageLen]T)
 		t.pages[pi] = p
 	}
 	return &p[i&pageMask]
@@ -67,21 +69,18 @@ func (t *Paged[T]) Load(i uint64) T {
 	return zero
 }
 
-// grow extends the page vector to cover page pi (amortized: it happens only
-// when the heap's high-water mark crosses into a new page).
+// grow extends the page vector to cover page pi in one step (amortized: it
+// happens only when the heap's high-water mark crosses into a new page).
 func (t *Paged[T]) grow(pi uint64) {
-	for uint64(len(t.pages)) <= pi {
-		t.pages = append(t.pages, nil)
-	}
+	t.pages = append(t.pages, make([]*[pageLen]T, pi+1-uint64(len(t.pages)))...)
 }
 
 // ForEach visits every element of every allocated page in ascending index
 // order. Untouched elements of a touched page are visited too (they hold
-// the zero value); callers that need presence must keep a valid bit in T.
+// the zero value); callers that need presence must tell it from T itself.
 // The table must not grow during iteration.
 func (t *Paged[T]) ForEach(f func(i uint64, v *T)) {
-	for pi := range t.pages {
-		p := t.pages[pi]
+	for pi, p := range t.pages {
 		if p == nil {
 			continue
 		}
