@@ -69,7 +69,7 @@ type (
 	// LitmusResult is one judged (litmus test, memory system) execution.
 	LitmusResult = litmus.Result
 
-	// MetricsSnapshot is a frozen view of a metrics registry: the
+	// MetricsSnapshot is a set of metrics held as plain values: the
 	// simulator's own overhead accounting (see Machine.Metrics and
 	// GlobalMetrics). Counters and histograms of simulated events are
 	// deterministic; runner.* metrics are host-side and vary.
@@ -364,7 +364,8 @@ func RunGrid(n int, cell func(i int) (*Result, error)) ([]*Result, error) {
 
 // EnableMetrics turns the simulator's own overhead accounting on or off
 // and returns the previous state. A machine publishes its run's metrics
-// if recording is on when the run ends.
+// if recording is on when the run ends; a grid records its host-side
+// metrics if recording is on when the grid starts.
 // Metrics never touch virtual time: simulated results are byte-identical
 // with metrics on or off and at any -parallel setting; only host-side
 // metrics (runner.cell_wall_ms, runner.workers_busy) vary between hosts.
@@ -373,11 +374,11 @@ func EnableMetrics(on bool) bool { return metrics.Enable(on) }
 // MetricsEnabled reports whether metric recording is on.
 func MetricsEnabled() bool { return metrics.Enabled() }
 
-// GlobalMetrics returns a snapshot of the process-global metrics registry:
-// the aggregate over every machine run and grid executed since the last
+// GlobalMetrics returns a copy of the process-global metrics: the
+// aggregate over every machine run and grid executed since the last
 // ResetGlobalMetrics. This is the `metrics` section of a BENCH_*.json
 // record and the input to cmd/benchdiff's regression gate.
 func GlobalMetrics() MetricsSnapshot { return metrics.Default.Snapshot() }
 
-// ResetGlobalMetrics clears the process-global metrics registry.
+// ResetGlobalMetrics clears the process-global metrics aggregate.
 func ResetGlobalMetrics() { metrics.Default.Reset() }

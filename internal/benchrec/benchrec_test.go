@@ -9,8 +9,8 @@ import (
 )
 
 func sampleRecord() *Record {
-	// Snapshot is built literally: registry counters are globally gated and
-	// this test must not flip the process-wide metrics switch.
+	// Snapshot is built literally: this test must not flip the
+	// process-wide metrics switch or touch the global aggregate.
 	s := metrics.Snapshot{Counters: map[string]uint64{
 		"sim.switches":      1000,
 		"sim.fastpath_hits": 9000,

@@ -125,14 +125,15 @@ func (c *infinite) ForEach(f func(memsys.Addr, *Line)) {
 }
 
 // NewFinite returns a set-associative LRU cache with the given total number
-// of lines and associativity. lines must be a multiple of assoc.
+// of lines and associativity. lines must be a multiple of assoc. The sets
+// live in a paged table indexed by set number, so building a cache costs
+// nothing however many lines it is configured with: memory follows the
+// sets actually touched.
 func NewFinite(lines, assoc int) Cache {
 	if lines <= 0 || assoc <= 0 || lines%assoc != 0 {
 		panic("cache: lines must be a positive multiple of assoc")
 	}
-	sets := lines / assoc
-	c := &finite{assoc: assoc, sets: make([]set, sets)}
-	return c
+	return &finite{assoc: assoc, nsets: uint64(lines / assoc)}
 }
 
 type way struct {
@@ -148,14 +149,15 @@ type set struct {
 
 type finite struct {
 	assoc     int
-	sets      []set
+	nsets     uint64
+	sets      memsys.Paged[set] // indexed by set number
 	tick      uint64
 	n         int
 	evictions uint64
 }
 
 func (c *finite) set(line memsys.Addr) *set {
-	return &c.sets[int(line)%len(c.sets)]
+	return c.sets.At(uint64(line) % c.nsets)
 }
 
 func (c *finite) Lookup(line memsys.Addr) (*Line, bool) {
@@ -231,12 +233,11 @@ func (c *finite) Len() int { return c.n }
 func (c *finite) Evictions() uint64 { return c.evictions }
 
 func (c *finite) ForEach(f func(memsys.Addr, *Line)) {
-	for si := range c.sets {
-		s := &c.sets[si]
+	c.sets.ForEach(func(_ uint64, s *set) {
 		for i := range s.ways {
 			if s.ways[i].used {
 				f(s.ways[i].line, &s.ways[i].l)
 			}
 		}
-	}
+	})
 }

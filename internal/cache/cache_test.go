@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -123,6 +124,35 @@ func TestFiniteReinsertKeepsMetadata(t *testing.T) {
 	l2, _, _, ev := c.Insert(0)
 	if ev || l2.Updates != 3 {
 		t.Fatalf("re-insert reset metadata: ev=%v updates=%d", ev, l2.Updates)
+	}
+}
+
+// TestFiniteHugeShapeIsLazy: the configured size is a client-supplied
+// bound, not an allocation size. A 2^40-line direct-mapped cache is cheap
+// to build, allocates memory only for the sets it touches, and still maps
+// lines 2^40 apart onto the same set.
+func TestFiniteHugeShapeIsLazy(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewFinite(1<<40, 1)
+	for l := memsys.Addr(0); l < 1000; l++ {
+		c.Insert(l)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("building and filling 1000 sets of a 2^40-line cache allocated %d bytes, want under 1 MiB", got)
+	}
+	if c.Len() != 1000 {
+		t.Fatalf("Len = %d, want 1000", c.Len())
+	}
+	_, victim, _, ev := c.Insert(1<<40 + 7)
+	if !ev || victim != 7 {
+		t.Fatalf("evicted=%v victim=%d, want line 7 displaced from its set", ev, victim)
+	}
+	n := 0
+	c.ForEach(func(memsys.Addr, *Line) { n++ })
+	if n != 1000 {
+		t.Fatalf("ForEach visited %d lines, want 1000", n)
 	}
 }
 

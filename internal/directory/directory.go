@@ -219,14 +219,10 @@ func (d *Directory) Lookup(addr memsys.Addr) (*Entry, bool) {
 	return e, true
 }
 
-// Allocs returns the number of entries ever created. Entries are never
-// deallocated, so this equals Entries(); it exists as a stable counter for
-// the metrics layer's directory-occupancy accounting.
+// Allocs returns the number of entries ever created across all homes.
+// Entries are never deallocated, so this is also the directory's current
+// occupancy (the directory.allocs metric).
 func (d *Directory) Allocs() uint64 { return d.allocs }
-
-// Entries returns the number of allocated entries across all homes (equal
-// to Allocs, since entries are never deallocated).
-func (d *Directory) Entries() int { return int(d.allocs) }
 
 // LineSize returns the directory's coherence unit.
 func (d *Directory) LineSize() int { return d.lineSize }

@@ -161,15 +161,15 @@ func TestBitsetForEachRemoveDuringIteration(t *testing.T) {
 
 func TestEntryCreatedOnDemand(t *testing.T) {
 	d := New(16, 32)
-	if d.Entries() != 0 {
+	if d.Allocs() != 0 {
 		t.Fatal("new directory not empty")
 	}
 	e := d.Entry(0x100)
 	if e.State != Uncached || e.Sharers.Count() != 0 {
 		t.Fatalf("fresh entry should be Uncached/empty: %v", e)
 	}
-	if d.Entries() != 1 {
-		t.Fatalf("Entries = %d, want 1", d.Entries())
+	if d.Allocs() != 1 {
+		t.Fatalf("Allocs = %d, want 1", d.Allocs())
 	}
 	// Same line, same entry.
 	e2 := d.Entry(0x100 + 31)
@@ -187,7 +187,7 @@ func TestLookupDoesNotAllocate(t *testing.T) {
 	if _, ok := d.Lookup(0x40); ok {
 		t.Fatal("lookup of untouched line should miss")
 	}
-	if d.Entries() != 0 {
+	if d.Allocs() != 0 {
 		t.Fatal("Lookup must not allocate")
 	}
 	d.Entry(0x40)

@@ -8,10 +8,12 @@ import (
 
 // AtomicMix flags a struct field that is accessed both through sync/atomic
 // function calls (atomic.AddUint64(&s.n, 1)) and through plain loads or
-// stores (s.n++, v := s.n) in the same package. Mixing the two is the
-// race-detector-class bug the metrics registry is one edit away from: the
-// plain access races with concurrent atomic updates, and on weakly ordered
-// hardware can observe torn or stale values. Once a field is atomic, every
+// stores (s.n++, v := s.n) in the same package. Mixing the two is a
+// race-detector-class bug that any host-side counter shared between
+// goroutines (the runner's parallelism bound, a grid's busy-worker level)
+// is one edit away from: the plain access races with concurrent atomic
+// updates, and on weakly ordered hardware can observe torn or stale
+// values. Once a field is atomic, every
 // access must go through sync/atomic (or the field should become one of
 // the atomic.Int64-style types, which make plain access impossible).
 //

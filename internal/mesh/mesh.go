@@ -43,17 +43,16 @@ type Net struct {
 // The tail covers many-core meshes: a 32×32 mesh routes up to 62 hops.
 var HopBuckets = []uint64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64} //zlint:ignore globalmut immutable bucket bounds, never written after package init
 
-// PublishMetrics harvests the interconnect's aggregate stats into r
+// PublishMetrics harvests the interconnect's aggregate stats into s
 // (implements metrics.Publisher). mesh.occupied_cycles over the product of
 // link count and run length is the network's link utilization.
-func (n *Net) PublishMetrics(r *metrics.Registry) {
-	r.Counter("mesh.msgs").Add(n.msgs)
-	r.Counter("mesh.bytes").Add(n.bytes)
-	r.Counter("mesh.queue_cycles").Add(uint64(n.queueing))
-	r.Counter("mesh.occupied_cycles").Add(uint64(n.occupied))
-	h := r.Histogram("mesh.hops", HopBuckets)
+func (n *Net) PublishMetrics(s *metrics.Snapshot) {
+	s.Add("mesh.msgs", n.msgs)
+	s.Add("mesh.bytes", n.bytes)
+	s.Add("mesh.queue_cycles", uint64(n.queueing))
+	s.Add("mesh.occupied_cycles", uint64(n.occupied))
 	for hops, c := range n.hops {
-		h.ObserveN(uint64(hops), c)
+		s.ObserveN("mesh.hops", HopBuckets, uint64(hops), c)
 	}
 }
 

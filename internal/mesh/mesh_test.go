@@ -195,8 +195,6 @@ func BenchmarkSend(b *testing.B) {
 // the harvested mesh.hops histogram carries the routed hop counts exactly —
 // its Sum is the sum of Hops over the pairs and its Max the largest.
 func TestHopHistogramMatchesRoutes(t *testing.T) {
-	prev := metrics.Enable(true)
-	defer metrics.Enable(prev)
 	for _, name := range allTopos() {
 		t.Run(name, func(t *testing.T) {
 			n := topoNet(t, name, 64)
@@ -216,9 +214,9 @@ func TestHopHistogramMatchesRoutes(t *testing.T) {
 					}
 				}
 			}
-			r := metrics.NewRegistry()
-			n.PublishMetrics(r)
-			h := r.Snapshot().Histograms["mesh.hops"]
+			var s metrics.Snapshot
+			n.PublishMetrics(&s)
+			h := s.Histograms["mesh.hops"]
 			if h.Count != msgs || h.Sum != sum || h.Max != max {
 				t.Fatalf("mesh.hops count/sum/max = %d/%d/%d, want %d/%d/%d", h.Count, h.Sum, h.Max, msgs, sum, max)
 			}

@@ -155,9 +155,6 @@ func (c *cubeTopo) NextHop(cur, dst int) int {
 
 func (c *cubeTopo) Hops(src, dst int) int { return bits.OnesCount(uint(src ^ dst)) }
 
-// Dim returns the hypercube dimension.
-func (c *cubeTopo) Dim() int { return bits.TrailingZeros(uint(c.n)) }
-
 // hierTopo is a hierarchical cluster-of-meshes: every cluster is the
 // paper's 4×4 mesh (memsys.HierClusterNodes nodes), and the clusters are
 // tiled in a higher-level cw×ch mesh. Node numbering is cluster-major

@@ -32,11 +32,11 @@ func newInv(p memsys.Params, net *mesh.Net, sc, lazy bool) *inv {
 	return v
 }
 
-// PublishMetrics harvests the base hardware and the store buffers into r
+// PublishMetrics harvests the base hardware and the store buffers into s
 // (implements metrics.Publisher).
-func (v *inv) PublishMetrics(r *metrics.Registry) {
-	v.base.PublishMetrics(r)
-	publishStoreBuffers(r, v.sb)
+func (v *inv) PublishMetrics(s *metrics.Snapshot) {
+	v.base.PublishMetrics(s)
+	publishStoreBuffers(s, v.sb)
 }
 
 func (v *inv) Name() memsys.Kind {

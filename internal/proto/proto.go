@@ -101,38 +101,35 @@ func (b *base) Counters() *memsys.Counters { return b.ctr }
 
 // publishStoreBuffers harvests every node's store-buffer counts into one
 // machine-wide set of metrics (per-node attribution is not needed by the
-// gate).
-func publishStoreBuffers(r *metrics.Registry, sbs []*wbuffer.StoreBuffer) {
-	occ := r.Histogram("wbuffer.occupancy", wbuffer.OccupancyBuckets)
-	full := r.Counter("wbuffer.full_stall_cycles")
-	flush := r.Counter("wbuffer.flush_stall_cycles")
-	flushes := r.Counter("wbuffer.flushes")
+// gate). The occupancy histogram is registered even if no write ever
+// reserved an entry.
+func publishStoreBuffers(s *metrics.Snapshot, sbs []*wbuffer.StoreBuffer) {
+	s.ObserveN("wbuffer.occupancy", wbuffer.OccupancyBuckets, 0, 0)
 	for _, sb := range sbs {
 		st := sb.Stats()
 		for k, n := range st.Occupancy {
-			occ.ObserveN(uint64(k), n)
+			s.ObserveN("wbuffer.occupancy", wbuffer.OccupancyBuckets, uint64(k), n)
 		}
-		full.Add(st.FullStall)
-		flush.Add(st.FlushStall)
-		flushes.Add(st.Flushes)
+		s.Add("wbuffer.full_stall_cycles", st.FullStall)
+		s.Add("wbuffer.flush_stall_cycles", st.FlushStall)
+		s.Add("wbuffer.flushes", st.Flushes)
 	}
 }
 
 // PublishMetrics harvests the hardware state only the protocol can see —
-// directory occupancy and cache residency/evictions — into r (implements
+// directory allocations and cache residency/evictions — into s (implements
 // metrics.Publisher). The protocol event counters (misses, invalidations,
 // updates) are published by the machine from Counters().
-func (b *base) PublishMetrics(r *metrics.Registry) {
-	r.Gauge("directory.entries").Set(int64(b.dir.Entries()))
-	r.Counter("directory.allocs").Add(b.dir.Allocs())
+func (b *base) PublishMetrics(s *metrics.Snapshot) {
+	s.Add("directory.allocs", b.dir.Allocs())
 	var resident int
 	var evictions uint64
 	for _, c := range b.caches {
 		resident += c.Len()
 		evictions += c.Evictions()
 	}
-	r.Gauge("cache.resident_lines").Set(int64(resident))
-	r.Counter("cache.evictions").Add(evictions)
+	s.SetGauge("cache.resident_lines", int64(resident))
+	s.Add("cache.evictions", evictions)
 }
 
 func (b *base) line(addr memsys.Addr) memsys.Addr { return memsys.Line(addr, b.p.LineSize) }

@@ -43,15 +43,13 @@ func newUpd(p memsys.Params, net *mesh.Net, mode updMode) *upd {
 }
 
 // PublishMetrics harvests the base hardware and the store and merge
-// buffers into r (implements metrics.Publisher).
-func (u *upd) PublishMetrics(r *metrics.Registry) {
-	u.base.PublishMetrics(r)
-	publishStoreBuffers(r, u.sb)
-	merges := r.Counter("wbuffer.merges")
-	evictions := r.Counter("wbuffer.merge_evictions")
+// buffers into s (implements metrics.Publisher).
+func (u *upd) PublishMetrics(s *metrics.Snapshot) {
+	u.base.PublishMetrics(s)
+	publishStoreBuffers(s, u.sb)
 	for _, mb := range u.mb {
-		merges.Add(mb.Merges())
-		evictions.Add(mb.Evictions())
+		s.Add("wbuffer.merges", mb.Merges())
+		s.Add("wbuffer.merge_evictions", mb.Evictions())
 	}
 }
 

@@ -66,11 +66,10 @@ func newZMachine(p memsys.Params, net *mesh.Net) *zmc {
 func (z *zmc) Name() memsys.Kind          { return memsys.KindZMachine }
 func (z *zmc) Counters() *memsys.Counters { return z.ctr }
 
-// PublishMetrics harvests the z-machine's word-grain directory occupancy
+// PublishMetrics harvests the z-machine's word-grain directory allocations
 // (implements metrics.Publisher).
-func (z *zmc) PublishMetrics(r *metrics.Registry) {
-	r.Gauge("directory.entries").Set(int64(z.dir.Entries()))
-	r.Counter("directory.allocs").Add(z.dir.Allocs())
+func (z *zmc) PublishMetrics(s *metrics.Snapshot) {
+	s.Add("directory.allocs", z.dir.Allocs())
 }
 
 // lines visits every z-machine word-line covered by [addr, addr+size).

@@ -10,6 +10,7 @@ package runner
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +36,50 @@ func SetParallelism(n int) int {
 	return int(parallelism.Swap(int64(n)))
 }
 
+// CellWallBuckets are the inclusive upper bounds (in milliseconds) of the
+// runner.cell_wall_ms histogram. Cell wall time is host-side accounting:
+// it varies with the machine and the -parallel setting, unlike every
+// simulated metric.
+var CellWallBuckets = []uint64{1, 5, 10, 25, 50, 100, 250, 1000}
+
+// gridMetrics is one grid's host-side accounting, kept local to the grid
+// and merged into metrics.Default once the pool has drained. Each slot is
+// written by exactly one worker, so only the busy level is shared.
+type gridMetrics struct {
+	busy   atomic.Int64 // workers currently running a cell
+	peak   []int64      // peak[w]: highest busy level worker w saw on starting a cell
+	wallMS []uint64     // wallMS[i]: host wall time of cell i
+}
+
+// run executes cell i on worker w with wall-time and occupancy accounting.
+func (g *gridMetrics) run(w, i int, do func()) {
+	if g == nil {
+		do()
+		return
+	}
+	g.peak[w] = max(g.peak[w], g.busy.Add(1))
+	start := time.Now()
+	do()
+	g.wallMS[i] = uint64(time.Since(start).Milliseconds())
+	g.busy.Add(-1)
+}
+
+// publish merges the grid's totals into metrics.Default. The busy level
+// has drained back to zero, so the gauge's value is 0 and its max the peak.
+func (g *gridMetrics) publish() {
+	if g == nil {
+		return
+	}
+	s := metrics.Snapshot{
+		Counters: map[string]uint64{"runner.grids": 1, "runner.cells": uint64(len(g.wallMS))},
+		Gauges:   map[string]metrics.GaugeSnapshot{"runner.workers_busy": {Max: slices.Max(g.peak)}},
+	}
+	for _, ms := range g.wallMS {
+		s.ObserveN("runner.cell_wall_ms", CellWallBuckets, ms, 1)
+	}
+	metrics.Default.Merge(s)
+}
+
 // Grid runs cell(0), ..., cell(n-1) on up to Parallelism() workers and
 // returns the n results indexed by cell. The outcome is independent of the
 // worker count:
@@ -48,87 +93,43 @@ func SetParallelism(n int) int {
 //     re-raised in the caller once the pool has drained.
 //
 // Cells must be independent (no shared mutable state); each should build
-// its own machine.
-// CellWallBuckets are the inclusive upper bounds (in milliseconds) of the
-// runner.cell_wall_ms histogram. Cell wall time is host-side accounting:
-// it varies with the machine and the -parallel setting, unlike every
-// simulated metric.
-var CellWallBuckets = []uint64{1, 5, 10, 25, 50, 100, 250, 1000}
-
-// gridMetrics carries the per-grid handles recorded into metrics.Default.
-// Handles are fetched per Grid call (not cached) so a Default.Reset
-// between evaluation phases cannot leave stale metric pointers behind.
-type gridMetrics struct {
-	cells *metrics.Counter
-	wall  *metrics.Histogram
-	busy  *metrics.Gauge
-}
-
-// run executes one cell with host-side wall-time and occupancy accounting.
-func (g *gridMetrics) run(do func()) {
-	if g == nil {
-		do()
-		return
-	}
-	g.busy.Add(1)
-	start := time.Now()
-	do()
-	g.wall.Observe(uint64(time.Since(start).Milliseconds()))
-	g.busy.Add(-1)
-	g.cells.Inc()
-}
-
-func newGridMetrics() *gridMetrics {
-	if !metrics.Enabled() {
-		return nil
-	}
-	metrics.Default.Counter("runner.grids").Inc()
-	return &gridMetrics{
-		cells: metrics.Default.Counter("runner.cells"),
-		wall:  metrics.Default.Histogram("runner.cell_wall_ms", CellWallBuckets),
-		busy:  metrics.Default.Gauge("runner.workers_busy"),
-	}
-}
-
+// its own machine. With metrics enabled when Grid is called, the grid's
+// host-side metrics (runner.*) are merged into metrics.Default once every
+// cell has run.
 func Grid[T any](n int, cell func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
 	panics := make([]any, n)
-	gm := newGridMetrics()
-	if workers <= 1 {
+	workers := max(min(Parallelism(), n), 1)
+	var gm *gridMetrics
+	if metrics.Enabled() {
+		gm = &gridMetrics{peak: make([]int64, workers), wallMS: make([]uint64, n)}
+	}
+	if workers == 1 {
 		// Serial: run in the caller's goroutine. Every cell still runs on
 		// error or panic so the outcome matches the pooled path's.
 		for i := 0; i < n; i++ {
-			i := i
-			gm.run(func() { runCell(cell, i, results, errs, panics) })
+			gm.run(0, i, func() { runCell(cell, i, results, errs, panics) })
 		}
-		for _, pv := range panics {
-			if pv != nil {
-				panic(pv)
-			}
-		}
-		return results, firstError(errs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					gm.run(w, i, func() { runCell(cell, i, results, errs, panics) })
 				}
-				gm.run(func() { runCell(cell, i, results, errs, panics) })
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	gm.publish()
 	for _, pv := range panics {
 		if pv != nil {
 			panic(pv)

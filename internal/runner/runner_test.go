@@ -9,6 +9,7 @@ import (
 
 	"zsim/internal/machine"
 	"zsim/internal/memsys"
+	"zsim/internal/metrics"
 )
 
 // withParallelism runs f with the pool bound set to n, restoring the
@@ -286,4 +287,58 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGridHostMetrics pins the runner's host-side metrics: with metrics on,
+// one grid of n cells adds one runner.grids, n runner.cells and n
+// runner.cell_wall_ms observations, and its runner.workers_busy peak lies
+// between 1 and the worker bound; with metrics off it records nothing.
+func TestGridHostMetrics(t *testing.T) {
+	const n = 5
+	grid := func() {
+		if _, err := Grid(n, func(i int) (int, error) {
+			time.Sleep(time.Millisecond)
+			return i, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, par := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
+			withParallelism(par, func() {
+				prev := metrics.Enable(true)
+				defer metrics.Enable(prev)
+				metrics.Default.Reset()
+				defer metrics.Default.Reset()
+				grid()
+				s := metrics.Default.Snapshot()
+				if got := s.Counter("runner.grids"); got != 1 {
+					t.Errorf("runner.grids = %d, want 1", got)
+				}
+				if got := s.Counter("runner.cells"); got != n {
+					t.Errorf("runner.cells = %d, want %d", got, n)
+				}
+				if got := s.Histograms["runner.cell_wall_ms"].Count; got != n {
+					t.Errorf("runner.cell_wall_ms count = %d, want %d", got, n)
+				}
+				busy := s.Gauges["runner.workers_busy"]
+				if busy.Value != 0 || busy.Max < 1 || busy.Max > int64(min(Parallelism(), n)) {
+					t.Errorf("runner.workers_busy = %+v, want value 0 and max in [1, %d]", busy, min(Parallelism(), n))
+				}
+				grid()
+				if got := metrics.Default.Snapshot().Counter("runner.grids"); got != 2 {
+					t.Errorf("runner.grids after a second grid = %d, want 2", got)
+				}
+			})
+		})
+	}
+	t.Run("disabled", func(t *testing.T) {
+		prev := metrics.Enable(false)
+		defer metrics.Enable(prev)
+		metrics.Default.Reset()
+		grid()
+		if s := metrics.Default.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+			t.Errorf("disabled grid recorded metrics:\n%s", s)
+		}
+	})
 }

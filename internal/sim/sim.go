@@ -153,7 +153,7 @@ type Engine struct {
 	aborting bool
 
 	// Instrumentation: plain counts (the engine is single-threaded),
-	// harvested into a metrics registry by PublishMetrics.
+	// harvested into a metrics snapshot by PublishMetrics.
 	switches     uint64   // processor resumptions (scheduling events)
 	blocks       uint64   // Block calls observed
 	fastPathHits uint64   // Sync calls that skipped the yield/resume handoff
@@ -164,17 +164,16 @@ type Engine struct {
 // histogram: how many processors were runnable behind each scheduling pop.
 var RunqDepthBuckets = []uint64{0, 1, 2, 4, 8, 16, 32, 64} //zlint:ignore globalmut immutable bucket bounds, never written after package init
 
-// PublishMetrics harvests the engine's plain instrumentation counts into r
+// PublishMetrics harvests the engine's plain instrumentation counts into s
 // (implements metrics.Publisher). sim.yields is the total number of
 // globally visible scheduling points: fast-path hits plus full handoffs.
-func (e *Engine) PublishMetrics(r *metrics.Registry) {
-	r.Counter("sim.switches").Add(e.switches)
-	r.Counter("sim.blocks").Add(e.blocks)
-	r.Counter("sim.fastpath_hits").Add(e.fastPathHits)
-	r.Counter("sim.yields").Add(e.fastPathHits + e.switches)
-	h := r.Histogram("sim.runq_depth", RunqDepthBuckets)
+func (e *Engine) PublishMetrics(s *metrics.Snapshot) {
+	s.Add("sim.switches", e.switches)
+	s.Add("sim.blocks", e.blocks)
+	s.Add("sim.fastpath_hits", e.fastPathHits)
+	s.Add("sim.yields", e.fastPathHits+e.switches)
 	for d, n := range e.runqDepth {
-		h.ObserveN(uint64(d), n)
+		s.ObserveN("sim.runq_depth", RunqDepthBuckets, uint64(d), n)
 	}
 }
 

@@ -8,7 +8,6 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"zsim/internal/memsys"
@@ -229,28 +228,6 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortResults orders results in the paper's figure order (z-machine first,
-// then RCinv, RCupd, RCadapt, RCcomp, then anything else alphabetically).
-func SortResults(rs []*Result) {
-	rank := map[memsys.Kind]int{}
-	for i, k := range memsys.FigureKinds() {
-		rank[k] = i
-	}
-	sort.SliceStable(rs, func(i, j int) bool {
-		ri, iok := rank[rs[i].System]
-		rj, jok := rank[rs[j].System]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		case jok:
-			return false
-		}
-		return rs[i].System < rs[j].System
-	})
 }
 
 // Markdown renders the table as a GitHub-flavored markdown table (for

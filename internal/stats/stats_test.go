@@ -101,27 +101,6 @@ func TestTableRenderAndCSV(t *testing.T) {
 	}
 }
 
-func TestSortResultsFigureOrder(t *testing.T) {
-	rs := []*Result{
-		{System: memsys.KindRCComp},
-		{System: memsys.KindPRAM},
-		{System: memsys.KindRCInv},
-		{System: memsys.KindZMachine},
-		{System: memsys.KindRCAdapt},
-		{System: memsys.KindRCUpd},
-	}
-	SortResults(rs)
-	want := []memsys.Kind{
-		memsys.KindZMachine, memsys.KindRCInv, memsys.KindRCUpd,
-		memsys.KindRCAdapt, memsys.KindRCComp, memsys.KindPRAM,
-	}
-	for i, k := range want {
-		if rs[i].System != k {
-			t.Fatalf("position %d = %s, want %s", i, rs[i].System, k)
-		}
-	}
-}
-
 func TestResultString(t *testing.T) {
 	if s := twoProcResult().String(); !strings.Contains(s, "toy/rcinv") {
 		t.Fatalf("String = %q", s)

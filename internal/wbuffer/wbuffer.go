@@ -28,7 +28,7 @@ type StoreBuffer struct {
 // StoreStats are a store buffer's plain self-metric counts; the protocol
 // that owns the buffer publishes them at the end of a run.
 type StoreStats struct {
-	Occupancy  []uint64 // Occupancy[k]: Reserve calls that found k entries in flight
+	Occupancy  []uint64 // Occupancy[k]: Reserve calls that found k entries in flight (grown on demand)
 	FullStall  uint64   // cycles stalled on a full buffer
 	FlushStall uint64   // cycles stalled draining at releases
 	Flushes    uint64   // DrainStall calls with entries pending
@@ -39,11 +39,8 @@ func NewStore(entries int) *StoreBuffer {
 	if entries <= 0 {
 		panic("wbuffer: store buffer needs at least one entry")
 	}
-	return &StoreBuffer{cap: entries, stats: StoreStats{Occupancy: make([]uint64, entries+1)}}
+	return &StoreBuffer{cap: entries}
 }
-
-// Cap returns the buffer's capacity.
-func (b *StoreBuffer) Cap() int { return b.cap }
 
 // Stats returns the buffer's counts so far.
 func (b *StoreBuffer) Stats() StoreStats { return b.stats }
@@ -71,6 +68,11 @@ func (b *StoreBuffer) Pending(now memsys.Time) int {
 // Add the new entry's completion time.
 func (b *StoreBuffer) Reserve(now memsys.Time) (stall memsys.Time) {
 	b.retire(now)
+	// Occupancy is sized by the entries actually seen in flight, never by
+	// the configured capacity, which a client may set arbitrarily large.
+	for len(b.stats.Occupancy) <= len(b.pending) {
+		b.stats.Occupancy = append(b.stats.Occupancy, 0)
+	}
 	b.stats.Occupancy[len(b.pending)]++
 	if len(b.pending) < b.cap {
 		return 0
@@ -148,9 +150,6 @@ func NewMerge(cap int) *MergeBuffer {
 	}
 	return &MergeBuffer{cap: cap}
 }
-
-// Cap returns the merge buffer capacity in lines.
-func (m *MergeBuffer) Cap() int { return m.cap }
 
 // Merges returns the number of writes combined into a merging line.
 func (m *MergeBuffer) Merges() uint64 { return m.merges }

@@ -1,6 +1,8 @@
 package wbuffer
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -198,5 +200,42 @@ func TestWatermark(t *testing.T) {
 	// Past the last completion it degenerates to now.
 	if wm := b.Watermark(200); wm != 200 {
 		t.Fatalf("late watermark = %d, want 200", wm)
+	}
+}
+
+// sink keeps constructed buffers reachable so their allocation is real.
+var sink any
+
+// allocBytes returns the bytes f allocates on the heap.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestStoreHugeCapacityIsLazy: the configured depth is a client-supplied
+// bound, not an allocation size. A 2^40-entry buffer is as cheap to build
+// as a 4-entry one, and its occupancy counts grow only as deep as the
+// entries actually in flight.
+func TestStoreHugeCapacityIsLazy(t *testing.T) {
+	if got := allocBytes(func() { sink = NewStore(1 << 40) }); got > 1<<10 {
+		t.Fatalf("NewStore(1<<40) allocated %d bytes, want under 1 KiB", got)
+	}
+	b := NewStore(1 << 40)
+	if occ := b.Stats().Occupancy; len(occ) != 0 {
+		t.Fatalf("fresh buffer occupancy = %v, want empty", occ)
+	}
+	for i := 0; i < 3; i++ {
+		if stall := b.Reserve(0); stall != 0 {
+			t.Fatalf("reserve %d stalled %d cycles in a buffer far from full", i, stall)
+		}
+		b.Add(100)
+	}
+	b.DrainStall(0)
+	b.Reserve(200)
+	if occ := b.Stats().Occupancy; !reflect.DeepEqual(occ, []uint64{2, 1, 1}) {
+		t.Fatalf("occupancy = %v, want [2 1 1]", occ)
 	}
 }

@@ -86,15 +86,6 @@ func Run(name string, scale Scale, kind memsys.Kind, p memsys.Params) (*stats.Re
 	return res, nil
 }
 
-// MustRun is Run panicking on error.
-func MustRun(name string, scale Scale, kind memsys.Kind, p memsys.Params) *stats.Result {
-	r, err := Run(name, scale, kind, p)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // figureOf maps the paper's figure numbers to applications.
 var figureOf = map[int]string{2: "cholesky", 3: "is", 4: "maxflow", 5: "nbody"}
 

@@ -626,20 +626,10 @@ func TestClaimsAllPass(t *testing.T) {
 	}
 }
 
-func TestMustRunAndFigureNumbers(t *testing.T) {
+func TestFigureNumbers(t *testing.T) {
 	if got := FigureNumbers(); len(got) != 4 || got[0] != 2 || got[3] != 5 {
 		t.Fatalf("FigureNumbers = %v", got)
 	}
-	r := MustRun("is", ScaleSmall, memsys.KindPRAM, memsys.Default(16))
-	if r.ExecTime == 0 {
-		t.Fatal("MustRun returned empty result")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRun should panic on bad input")
-		}
-	}()
-	MustRun("bogus", ScaleSmall, memsys.KindPRAM, memsys.Default(16))
 }
 
 // Finite caches exercise the eviction/writeback paths end to end: every

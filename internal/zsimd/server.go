@@ -206,11 +206,11 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// count adds n to a named daemon counter in the global registry when
+// count adds n to a named daemon counter in the global aggregate when
 // metrics are enabled.
 func count(name string, n uint64) {
 	if metrics.Enabled() {
-		metrics.Default.Counter(name).Add(n)
+		metrics.Default.Add(name, n)
 	}
 }
 

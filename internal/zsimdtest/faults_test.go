@@ -119,6 +119,31 @@ func TestWorkerPanicFailsJobNotDaemon(t *testing.T) {
 	}
 }
 
+// TestHugeBufferParamsRunWithoutHostBlowup: Validate accepts any positive
+// store-buffer depth and finite-cache size, so a client can ask for 2^40
+// of either. The simulator must size its host memory by what a run
+// touches, not by those fields: each job finishes done and the daemon
+// stays healthy (an out-of-memory error would kill the whole process).
+func TestHugeBufferParamsRunWithoutHostBlowup(t *testing.T) {
+	ctx := Ctx(t)
+	c := SharedClient()
+	for name, params := range map[string]string{
+		"store-buffer": `{"Procs":4,"StoreBufEntries":1099511627776}`,
+		"finite-cache": `{"Procs":4,"FiniteCache":true,"CacheLines":1099511627776,"CacheAssoc":1}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, res := SubmitAndWait(t, ctx, c, zsimd.CellSpec{Type: zsimd.TypeBenchmark,
+				App: "is", System: "rcinv", Params: json.RawMessage(params)})
+			if st.State != zsimd.JobDone || len(res.Cells) != 1 || len(res.Cells[0].Body) == 0 {
+				t.Fatalf("job = %s (%q), result %+v; want done with one cell", st.State, st.Error, res)
+			}
+			if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+				t.Fatalf("health after the job = %+v, %v", h, err)
+			}
+		})
+	}
+}
+
 // TestQueueSaturationRejects: with one worker held busy by a slow cell
 // and a depth-1 queue holding one waiting job, the next submission must
 // be rejected with 503 instead of queueing without bound.

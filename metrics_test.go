@@ -4,8 +4,8 @@ package zsim
 //
 //  1. Observation does not perturb the simulation. Simulated-time results
 //     and trace streams are bit-identical with metrics enabled or disabled.
-//  2. Simulated metrics are themselves deterministic: per-machine registries
-//     merge into the global registry with commutative operations, so every
+//  2. Simulated metrics are themselves deterministic: per-machine snapshots
+//     merge into the global aggregate with commutative operations, so every
 //     simulated counter is identical at -parallel 1 and -parallel 8. Only
 //     host-side metrics (the runner.* family) may vary.
 
@@ -16,7 +16,7 @@ import (
 )
 
 // withMetrics runs f with the global metrics gate set to v, restoring the
-// previous state (gate and accumulated registry) afterwards.
+// previous state (gate and accumulated aggregate) afterwards.
 func withMetrics(v bool, f func()) {
 	prev := EnableMetrics(v)
 	ResetGlobalMetrics()
@@ -158,9 +158,9 @@ func TestMetricsSnapshotJSONDeterministic(t *testing.T) {
 	})
 }
 
-// TestMachineMetricsAccessor checks the per-machine registry surface: a
+// TestMachineMetricsAccessor checks the per-machine metrics surface: a
 // machine run with metrics enabled exposes its own counters via
-// Machine.Metrics(), independent of the global registry.
+// Machine.Metrics(), independent of the global aggregate.
 func TestMachineMetricsAccessor(t *testing.T) {
 	params := DefaultParams(8)
 	withMetrics(true, func() {
@@ -185,6 +185,45 @@ func TestMachineMetricsAccessor(t *testing.T) {
 	})
 }
 
+// TestMetricsCopiesAreIndependent: the snapshots Machine.Metrics and
+// GlobalMetrics return are copies. Mutating their maps and histogram
+// slices never changes what a later call reports.
+func TestMetricsCopiesAreIndependent(t *testing.T) {
+	params := DefaultParams(8)
+	withMetrics(true, func() {
+		app, err := NewBenchmark("is", ScaleSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMachine(RCInv, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunAppOn(app, m); err != nil {
+			t.Fatal(err)
+		}
+		for name, get := range map[string]func() MetricsSnapshot{
+			"Machine.Metrics": m.Metrics,
+			"GlobalMetrics":   GlobalMetrics,
+		} {
+			want, got := get(), get()
+			for k := range got.Counters {
+				got.Counters[k]++
+			}
+			got.Counters["injected"] = 1
+			got.Gauges["injected"] = GaugeSnapshot{Value: 1, Max: 1}
+			for _, h := range got.Histograms {
+				h.Counts[0]++
+				h.Bounds[0]++
+			}
+			delete(got.Histograms, "mesh.hops")
+			if later := get(); !reflect.DeepEqual(later, want) {
+				t.Errorf("%s: mutating a returned snapshot changed a later one:\n%s\nvs\n%s", name, later, want)
+			}
+		}
+	})
+}
+
 // TestMetricsDisabledIsInert: with the gate off, machines publish nothing
 // and the facade reports disabled.
 func TestMetricsDisabledIsInert(t *testing.T) {
@@ -197,7 +236,7 @@ func TestMetricsDisabledIsInert(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s := GlobalMetrics(); len(s.Counters) != 0 {
-			t.Errorf("disabled run leaked counters into the global registry:\n%s", s.String())
+			t.Errorf("disabled run leaked counters into the global aggregate:\n%s", s.String())
 		}
 	})
 }
