@@ -8,6 +8,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"zsim/internal/memsys"
@@ -39,6 +40,15 @@ type Result struct {
 	ExecTime Time
 	Procs    []Proc
 	Counters memsys.Counters
+}
+
+// Clone returns a deep copy of r: mutating the copy never changes r.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.Procs = slices.Clone(r.Procs)
+	c.Counters.PerProcReads = slices.Clone(r.Counters.PerProcReads)
+	c.Counters.PerProcWrites = slices.Clone(r.Counters.PerProcWrites)
+	return &c
 }
 
 // TotalReadStall sums read stall over processors.

@@ -92,9 +92,6 @@ type Event struct {
 	Obj int32
 }
 
-// IsSync reports whether the event is a synchronization-object event.
-func (k Kind) IsSync() bool { return k >= LockAcq }
-
 func (e Event) String() string {
 	switch e.Kind {
 	case Read, Write:

@@ -13,227 +13,135 @@ import (
 type Claim struct {
 	ID    string
 	Text  string // the paper's claim, paraphrased
-	Check func(r *claimRunner) (ok bool, detail string, err error)
+	Check func(run lookup) (ok bool, detail string)
 }
 
-// claimRunner caches (app, system) results so the claim set runs each
-// simulation once.
-type claimRunner struct {
-	scale Scale
-	p     memsys.Params
-	cache map[string]*stats.Result
-}
-
-func (c *claimRunner) run(app string, kind memsys.Kind) (*stats.Result, error) {
-	key := app + "/" + string(kind)
-	if r, ok := c.cache[key]; ok {
-		return r, nil
-	}
-	r, err := Run(app, c.scale, kind, c.p)
-	if err != nil {
-		return nil, err
-	}
-	c.cache[key] = r
-	return r, nil
-}
+// lookup returns the result of app on kind at the claims' base parameters.
+// The claims declare every app × kind cell up front, so a lookup cannot
+// fail.
+type lookup func(app string, kind memsys.Kind) *stats.Result
 
 // Claims returns the paper's claims in presentation order.
 func Claims() []Claim {
 	return []Claim{
 		{"C1", "z-machine: write stall and buffer flush are zero by construction; total overhead is virtually zero (§5)",
-			func(c *claimRunner) (bool, string, error) {
+			func(run lookup) (bool, string) {
 				for _, app := range AppNames() {
-					r, err := c.run(app, memsys.KindZMachine)
-					if err != nil {
-						return false, "", err
-					}
+					r := run(app, memsys.KindZMachine)
 					if r.TotalWriteStall() != 0 || r.TotalBufferFlush() != 0 || r.OverheadPct() > 1 {
-						return false, fmt.Sprintf("%s: overhead %.2f%%", app, r.OverheadPct()), nil
+						return false, fmt.Sprintf("%s: overhead %.2f%%", app, r.OverheadPct())
 					}
 				}
-				return true, "overhead ≤ 1% on all four applications", nil
+				return true, "overhead ≤ 1% on all four applications"
 			}},
 		{"C2", "the z-machine's performance matches the PRAM's (§5)",
-			func(c *claimRunner) (bool, string, error) {
+			func(run lookup) (bool, string) {
 				worst := 0.0
 				for _, app := range AppNames() {
-					z, err := c.run(app, memsys.KindZMachine)
-					if err != nil {
-						return false, "", err
-					}
-					p, err := c.run(app, memsys.KindPRAM)
-					if err != nil {
-						return false, "", err
-					}
-					ratio := float64(z.ExecTime) / float64(p.ExecTime)
-					if ratio > worst {
-						worst = ratio
-					}
+					ratio := float64(run(app, memsys.KindZMachine).ExecTime) / float64(run(app, memsys.KindPRAM).ExecTime)
+					worst = max(worst, ratio)
 					if ratio > 1.02 {
-						return false, fmt.Sprintf("%s: zmc/pram = %.3f", app, ratio), nil
+						return false, fmt.Sprintf("%s: zmc/pram = %.3f", app, ratio)
 					}
 				}
-				return true, fmt.Sprintf("worst zmc/pram ratio %.4f", worst), nil
+				return true, fmt.Sprintf("worst zmc/pram ratio %.4f", worst)
 			}},
 		{"C3", "no real memory system beats the z-machine (§2: a realistic lower bound)",
-			func(c *claimRunner) (bool, string, error) {
+			func(run lookup) (bool, string) {
 				for _, app := range AppNames() {
-					z, err := c.run(app, memsys.KindZMachine)
-					if err != nil {
-						return false, "", err
-					}
+					z := run(app, memsys.KindZMachine)
 					for _, kind := range memsys.FigureKinds()[1:] {
-						r, err := c.run(app, kind)
-						if err != nil {
-							return false, "", err
-						}
-						if r.ExecTime < z.ExecTime {
-							return false, fmt.Sprintf("%s on %s beats zmc", app, kind), nil
+						if run(app, kind).ExecTime < z.ExecTime {
+							return false, fmt.Sprintf("%s on %s beats zmc", app, kind)
 						}
 					}
 				}
-				return true, "z-machine is the floor on all 16 (app, system) pairs", nil
+				return true, "z-machine is the floor on all 16 (app, system) pairs"
 			}},
 		{"C4", "the RCinv-vs-RCupd read-stall gap signals data reuse: large for Barnes-Hut and Maxflow, small for Cholesky and IS (§5)",
-			func(c *claimRunner) (bool, string, error) {
-				ratio := func(app string) (float64, error) {
-					inv, err := c.run(app, memsys.KindRCInv)
-					if err != nil {
-						return 0, err
-					}
-					upd, err := c.run(app, memsys.KindRCUpd)
-					if err != nil {
-						return 0, err
-					}
-					return float64(upd.TotalReadStall()) / float64(inv.TotalReadStall()), nil
+			func(run lookup) (bool, string) {
+				ratio := func(app string) float64 {
+					return float64(run(app, memsys.KindRCUpd).TotalReadStall()) / float64(run(app, memsys.KindRCInv).TotalReadStall())
 				}
 				var detail string
 				for _, app := range []string{"nbody", "maxflow"} {
-					r, err := ratio(app)
-					if err != nil {
-						return false, "", err
-					}
+					r := ratio(app)
 					detail += fmt.Sprintf("%s %.2f ", app, r)
 					if r > 0.6 {
-						return false, fmt.Sprintf("%s ratio %.2f, want <0.6", app, r), nil
+						return false, fmt.Sprintf("%s ratio %.2f, want <0.6", app, r)
 					}
 				}
 				for _, app := range []string{"cholesky", "is"} {
-					r, err := ratio(app)
-					if err != nil {
-						return false, "", err
-					}
+					r := ratio(app)
 					detail += fmt.Sprintf("%s %.2f ", app, r)
 					if r < 0.55 {
-						return false, fmt.Sprintf("%s ratio %.2f, want >0.55", app, r), nil
+						return false, fmt.Sprintf("%s ratio %.2f, want >0.55", app, r)
 					}
 				}
-				return true, "upd/inv read-stall ratios: " + detail, nil
+				return true, "upd/inv read-stall ratios: " + detail
 			}},
 		{"C5", "read stall dominates RCinv's overheads (§5)",
-			func(c *claimRunner) (bool, string, error) {
+			func(run lookup) (bool, string) {
 				for _, app := range AppNames() {
-					r, err := c.run(app, memsys.KindRCInv)
-					if err != nil {
-						return false, "", err
-					}
+					r := run(app, memsys.KindRCInv)
 					if r.TotalReadStall() <= r.TotalWriteStall()+r.TotalBufferFlush() {
-						return false, app, nil
+						return false, app
 					}
 				}
-				return true, "on all four applications", nil
+				return true, "on all four applications"
 			}},
 		{"C6", "update protocols pay on the write side what they save on reads (§5: RCinv write stall lowest; merge buffer raises flush)",
-			func(c *claimRunner) (bool, string, error) {
-				inv, err := c.run("nbody", memsys.KindRCInv)
-				if err != nil {
-					return false, "", err
-				}
-				upd, err := c.run("nbody", memsys.KindRCUpd)
-				if err != nil {
-					return false, "", err
-				}
+			func(run lookup) (bool, string) {
+				inv, upd := run("nbody", memsys.KindRCInv), run("nbody", memsys.KindRCUpd)
 				if upd.TotalWriteStall() <= inv.TotalWriteStall() {
-					return false, "nbody write stall not higher under rcupd", nil
+					return false, "nbody write stall not higher under rcupd"
 				}
 				if float64(upd.TotalBufferFlush()) < 0.9*float64(inv.TotalBufferFlush()) {
-					return false, "nbody buffer flush not higher under rcupd", nil
+					return false, "nbody buffer flush not higher under rcupd"
 				}
-				return true, fmt.Sprintf("nbody write stall: rcupd %d vs rcinv %d", upd.TotalWriteStall(), inv.TotalWriteStall()), nil
+				return true, fmt.Sprintf("nbody write stall: rcupd %d vs rcinv %d", upd.TotalWriteStall(), inv.TotalWriteStall())
 			}},
 		{"C7", "the adaptive protocol follows the sharing pattern: update-like on Barnes-Hut, invalidate-like on Maxflow (§5)",
-			func(c *claimRunner) (bool, string, error) {
-				invMF, err := c.run("maxflow", memsys.KindRCInv)
-				if err != nil {
-					return false, "", err
+			func(run lookup) (bool, string) {
+				ratio := func(app string) float64 {
+					return float64(run(app, memsys.KindRCAdapt).TotalReadStall()) / float64(run(app, memsys.KindRCInv).TotalReadStall())
 				}
-				adMF, err := c.run("maxflow", memsys.KindRCAdapt)
-				if err != nil {
-					return false, "", err
-				}
-				invBH, err := c.run("nbody", memsys.KindRCInv)
-				if err != nil {
-					return false, "", err
-				}
-				adBH, err := c.run("nbody", memsys.KindRCAdapt)
-				if err != nil {
-					return false, "", err
-				}
-				mf := float64(adMF.TotalReadStall()) / float64(invMF.TotalReadStall())
-				bh := float64(adBH.TotalReadStall()) / float64(invBH.TotalReadStall())
+				mf, bh := ratio("maxflow"), ratio("nbody")
 				// Scale-robust form: the adaptive protocol keeps more of
 				// the update advantage on the stable pattern (Barnes-Hut)
 				// than on the random one (Maxflow), and the stable-pattern
 				// advantage is substantial.
 				if bh >= mf || bh > 0.5 {
-					return false, fmt.Sprintf("adapt/inv read-stall: maxflow %.2f, nbody %.2f (want nbody < maxflow and ≤0.5)", mf, bh), nil
+					return false, fmt.Sprintf("adapt/inv read-stall: maxflow %.2f, nbody %.2f (want nbody < maxflow and ≤0.5)", mf, bh)
 				}
-				return true, fmt.Sprintf("adapt/inv read-stall: maxflow %.2f, nbody %.2f", mf, bh), nil
+				return true, fmt.Sprintf("adapt/inv read-stall: maxflow %.2f, nbody %.2f", mf, bh)
 			}},
 		{"C8", "RCadapt and RCcomp send fewer updates than RCupd where the sharing set changes (§5, Cholesky)",
-			func(c *claimRunner) (bool, string, error) {
-				upd, err := c.run("cholesky", memsys.KindRCUpd)
-				if err != nil {
-					return false, "", err
-				}
+			func(run lookup) (bool, string) {
+				upd := run("cholesky", memsys.KindRCUpd)
 				for _, kind := range []memsys.Kind{memsys.KindRCAdapt, memsys.KindRCComp} {
-					a, err := c.run("cholesky", kind)
-					if err != nil {
-						return false, "", err
-					}
-					if a.Counters.Updates >= upd.Counters.Updates {
-						return false, fmt.Sprintf("%s sent %d ≥ rcupd's %d", kind, a.Counters.Updates, upd.Counters.Updates), nil
+					if a := run("cholesky", kind); a.Counters.Updates >= upd.Counters.Updates {
+						return false, fmt.Sprintf("%s sent %d ≥ rcupd's %d", kind, a.Counters.Updates, upd.Counters.Updates)
 					}
 				}
-				return true, fmt.Sprintf("rcupd sent %d updates; both adaptive systems sent fewer", upd.Counters.Updates), nil
+				return true, fmt.Sprintf("rcupd sent %d updates; both adaptive systems sent fewer", upd.Counters.Updates)
 			}},
 		{"C9", "sequential consistency pays write stall that release consistency absorbs (§1/§5 framing)",
-			func(c *claimRunner) (bool, string, error) {
-				sc, err := c.run("is", memsys.KindSCInv)
-				if err != nil {
-					return false, "", err
-				}
-				rc, err := c.run("is", memsys.KindRCInv)
-				if err != nil {
-					return false, "", err
-				}
+			func(run lookup) (bool, string) {
+				sc, rc := run("is", memsys.KindSCInv), run("is", memsys.KindRCInv)
 				if sc.TotalWriteStall() <= rc.TotalWriteStall() {
-					return false, "SC write stall not above RC's", nil
+					return false, "SC write stall not above RC's"
 				}
-				return true, fmt.Sprintf("IS write stall: scinv %d vs rcinv %d", sc.TotalWriteStall(), rc.TotalWriteStall()), nil
+				return true, fmt.Sprintf("IS write stall: scinv %d vs rcinv %d", sc.TotalWriteStall(), rc.TotalWriteStall())
 			}},
 		{"C10", "decoupling data flow from synchronization eliminates buffer flush (§6 proposal, realized as rcsync)",
-			func(c *claimRunner) (bool, string, error) {
+			func(run lookup) (bool, string) {
 				for _, app := range AppNames() {
-					r, err := c.run(app, memsys.KindRCSync)
-					if err != nil {
-						return false, "", err
-					}
-					if r.TotalBufferFlush() != 0 {
-						return false, fmt.Sprintf("%s flush %d", app, r.TotalBufferFlush()), nil
+					if r := run(app, memsys.KindRCSync); r.TotalBufferFlush() != 0 {
+						return false, fmt.Sprintf("%s flush %d", app, r.TotalBufferFlush())
 					}
 				}
-				return true, "buffer flush is exactly 0 on all four applications", nil
+				return true, "buffer flush is exactly 0 on all four applications"
 			}},
 	}
 }
@@ -241,17 +149,32 @@ func Claims() []Claim {
 // EvaluateClaims runs every claim and returns the verdict table plus an
 // overall pass flag.
 func EvaluateClaims(scale Scale, p memsys.Params) (*stats.Table, bool, error) {
-	r := &claimRunner{scale: scale, p: p, cache: map[string]*stats.Result{}}
+	return evaluateClaims(store{}, scale, p)
+}
+
+// evaluateClaims fills the claims' cells (every app × kind at p, the
+// SummaryMatrix set) into s and checks each claim against them. A cell
+// is read from s the first time a claim looks it up, so only the cells
+// the claims use count in metrics.
+func evaluateClaims(s store, scale Scale, p memsys.Params) (*stats.Table, bool, error) {
+	if err := s.fill(across(AppNames(), memsys.Kinds(), scale, p)); err != nil {
+		return nil, false, err
+	}
+	read := map[cell]*stats.Result{}
+	run := func(app string, kind memsys.Kind) *stats.Result {
+		c := cell{app: app, scale: scale, kind: kind, p: p}
+		if read[c] == nil {
+			read[c] = s.get(c)
+		}
+		return read[c]
+	}
 	t := &stats.Table{
 		Title: fmt.Sprintf("Paper claims, machine-checked (%s scale, %d processors)", scale, p.Procs),
 		Head:  []string{"claim", "verdict", "evidence", "statement"},
 	}
 	all := true
 	for _, cl := range Claims() {
-		ok, detail, err := cl.Check(r)
-		if err != nil {
-			return nil, false, fmt.Errorf("workload: claim %s: %w", cl.ID, err)
-		}
+		ok, detail := cl.Check(run)
 		verdict := "PASS"
 		if !ok {
 			verdict = "FAIL"

@@ -67,22 +67,3 @@ func ConformanceSweep(scale Scale, p memsys.Params) (*stats.Table, bool, error) 
 	}
 	return t, pass, nil
 }
-
-// ConformanceViolations runs one application on one memory system with the
-// checker attached and returns the retained violation descriptions (nil when
-// the run conformed).
-func ConformanceViolations(name string, scale Scale, kind memsys.Kind, p memsys.Params) ([]string, error) {
-	app, err := NewApp(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(kind, p)
-	if err != nil {
-		return nil, err
-	}
-	chk := m.EnableCheck()
-	if _, err := apps.Run(app, m); err != nil {
-		return nil, fmt.Errorf("workload: %s on %s failed verification: %w", name, kind, err)
-	}
-	return chk.Violations(), nil
-}

@@ -5,7 +5,6 @@ import (
 
 	"zsim/internal/benchrec"
 	"zsim/internal/memsys"
-	"zsim/internal/runner"
 	"zsim/internal/stats"
 )
 
@@ -34,38 +33,34 @@ func OverheadScaling(app string, scale Scale, kind memsys.Kind, base memsys.Para
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("workload: OverheadScaling needs at least one machine size")
 	}
-	results, err := runner.Grid(len(procs), func(i int) (*stats.Result, error) {
-		return Run(app, scale, kind, base.WithProcs(procs[i]))
-	})
-	if err != nil {
-		return nil, err
-	}
-	c := &ScalingCurve{
-		Table: &stats.Table{
-			Title: fmt.Sprintf("Overhead scaling: %s on %s", app, kind),
-			Head:  []string{"procs", "exec-cycles", "read-stall", "write-stall", "buffer-flush", "sync-wait", "overhead%"},
-		},
-		curve: benchrec.Curve{App: app, System: string(kind)},
-	}
-	for i, r := range results {
-		c.Table.Add(fmt.Sprintf("%d", procs[i]),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%d", r.TotalWriteStall()),
-			fmt.Sprintf("%d", r.TotalBufferFlush()),
-			fmt.Sprintf("%d", r.TotalSyncWait()),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-		c.curve.Points = append(c.curve.Points, benchrec.CurvePoint{
-			Procs:       procs[i],
-			ExecCycles:  float64(r.ExecTime),
-			ReadStall:   float64(r.TotalReadStall()),
-			WriteStall:  float64(r.TotalWriteStall()),
-			BufferFlush: float64(r.TotalBufferFlush()),
-			SyncWait:    float64(r.TotalSyncWait()),
-			OverheadPct: r.OverheadPct(),
-		})
-	}
-	return c, nil
+	return scalingPlan("", app, scale, kind, base, procs).run(store{})
+}
+
+// scalingPlan declares OverheadScaling's cells; id tags the curve.
+func scalingPlan(id, app string, scale Scale, kind memsys.Kind, base memsys.Params, procs []int) plan[*ScalingCurve] {
+	cells := vary(app, scale, kind, base, len(procs), func(p *memsys.Params, i int) { *p = base.WithProcs(procs[i]) })
+	return plan[*ScalingCurve]{cells, func(rs []*stats.Result) *ScalingCurve {
+		c := &ScalingCurve{curve: benchrec.Curve{ID: id, App: app, System: string(kind)}}
+		c.Table = table(fmt.Sprintf("Overhead scaling: %s on %s", app, kind),
+			[]string{"procs", "exec-cycles", "read-stall", "write-stall", "buffer-flush", "sync-wait", "overhead%"},
+			labels("%d", procs), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %d %d %.2f",
+					r.ExecTime, r.TotalReadStall(), r.TotalWriteStall(), r.TotalBufferFlush(), r.TotalSyncWait(), r.OverheadPct())
+			})(rs)
+		for i, r := range rs {
+			c.curve.Points = append(c.curve.Points, benchrec.CurvePoint{
+				Procs:       procs[i],
+				ExecCycles:  float64(r.ExecTime),
+				ReadStall:   float64(r.TotalReadStall()),
+				WriteStall:  float64(r.TotalWriteStall()),
+				BufferFlush: float64(r.TotalBufferFlush()),
+				SyncWait:    float64(r.TotalSyncWait()),
+				OverheadPct: r.OverheadPct(),
+			})
+		}
+		return c
+	}}
 }
 
 // ScalingExperiments returns the scalability family S1..S4: overhead
@@ -84,18 +79,10 @@ func ScalingExperiments(procs []int) []Experiment {
 	for i, app := range apps {
 		id := fmt.Sprintf("S%d", i+1)
 		app := app
-		exps = append(exps, Experiment{
-			ID:    id,
-			Title: fmt.Sprintf("scaling: %s overhead classes vs P on RCinv %v", app, procs),
-			Run: func(sc Scale, p memsys.Params) (Artifact, error) {
-				c, err := OverheadScaling(app, sc, memsys.KindRCInv, p, procs)
-				if err != nil {
-					return nil, err
-				}
-				c.curve.ID = id
-				return c, nil
-			},
-		})
+		exps = append(exps, experiment(id, fmt.Sprintf("scaling: %s overhead classes vs P on RCinv %v", app, procs),
+			func(sc Scale, p memsys.Params) plan[*ScalingCurve] {
+				return scalingPlan(id, app, sc, memsys.KindRCInv, p, procs)
+			}))
 	}
 	return exps
 }

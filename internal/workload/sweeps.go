@@ -3,11 +3,8 @@ package workload
 import (
 	"fmt"
 
-	"zsim/internal/apps"
 	"zsim/internal/apps/cholesky"
-	"zsim/internal/machine"
 	"zsim/internal/memsys"
-	"zsim/internal/runner"
 	"zsim/internal/stats"
 )
 
@@ -15,171 +12,122 @@ import (
 type Time = memsys.Time
 
 // The sweeps below regenerate the paper's §6 architectural-implications
-// analysis and §7 open issues as concrete ablation experiments.
+// analysis and §7 open issues as concrete ablation experiments. Each
+// exported sweep runs its plan on a fresh store; the regeneration index
+// (Experiments) runs the same plans on a shared one.
 
 // StoreBufferSweep varies the store buffer depth (§6: "write stall time is
 // dependent on two parameters: the store buffer size and the relative speed
 // of the network").
 func StoreBufferSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, sizes []int) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Store buffer sweep: %s on %s", app, kind),
-		Head:  []string{"entries", "exec-cycles", "write-stall", "buf-flush", "overhead%"},
-	}
-	results, err := runner.Grid(len(sizes), func(i int) (*stats.Result, error) {
-		p := base
-		p.StoreBufEntries = sizes[i]
-		return Run(app, scale, kind, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		t.Add(fmt.Sprintf("%d", sizes[i]),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.TotalWriteStall()),
-			fmt.Sprintf("%d", r.TotalBufferFlush()),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return storeBufferPlan(app, scale, kind, base, sizes).run(store{})
+}
+
+func storeBufferPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, sizes []int) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, kind, base, len(sizes), func(p *memsys.Params, i int) { p.StoreBufEntries = sizes[i] }),
+		table(fmt.Sprintf("Store buffer sweep: %s on %s", app, kind),
+			[]string{"entries", "exec-cycles", "write-stall", "buf-flush", "overhead%"},
+			labels("%d", sizes), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %.2f",
+					r.ExecTime, r.TotalWriteStall(), r.TotalBufferFlush(), r.OverheadPct())
+			})}
 }
 
 // NetworkSweep varies the link bandwidth (§6: improving the network speed
 // relative to the processor lowers write stall).
 func NetworkSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, cyclesPerByte []float64) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Network speed sweep: %s on %s", app, kind),
-		Head:  []string{"cyc/byte", "exec-cycles", "read-stall", "write-stall", "buf-flush", "overhead%"},
-	}
-	results, err := runner.Grid(len(cyclesPerByte), func(i int) (*stats.Result, error) {
-		p := base
-		p.LinkCyclesPerByte = cyclesPerByte[i]
-		return Run(app, scale, kind, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		t.Add(fmt.Sprintf("%.2f", cyclesPerByte[i]),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%d", r.TotalWriteStall()),
-			fmt.Sprintf("%d", r.TotalBufferFlush()),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return networkPlan(app, scale, kind, base, cyclesPerByte).run(store{})
+}
+
+func networkPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, cyclesPerByte []float64) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, kind, base, len(cyclesPerByte), func(p *memsys.Params, i int) { p.LinkCyclesPerByte = cyclesPerByte[i] }),
+		table(fmt.Sprintf("Network speed sweep: %s on %s", app, kind),
+			[]string{"cyc/byte", "exec-cycles", "read-stall", "write-stall", "buf-flush", "overhead%"},
+			labels("%.2f", cyclesPerByte), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %d %.2f",
+					r.ExecTime, r.TotalReadStall(), r.TotalWriteStall(), r.TotalBufferFlush(), r.OverheadPct())
+			})}
 }
 
 // ThresholdSweep varies RCcomp's competitive self-invalidation threshold.
 func ThresholdSweep(app string, scale Scale, base memsys.Params, thresholds []int) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Competitive threshold sweep: %s on rccomp", app),
-		Head:  []string{"threshold", "exec-cycles", "read-stall", "write-stall", "buf-flush", "self-inval", "overhead%"},
-	}
-	results, err := runner.Grid(len(thresholds), func(i int) (*stats.Result, error) {
-		p := base
-		p.CompThreshold = thresholds[i]
-		return Run(app, scale, memsys.KindRCComp, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		t.Add(fmt.Sprintf("%d", thresholds[i]),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%d", r.TotalWriteStall()),
-			fmt.Sprintf("%d", r.TotalBufferFlush()),
-			fmt.Sprintf("%d", r.Counters.SelfInvalidations),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return thresholdPlan(app, scale, base, thresholds).run(store{})
+}
+
+func thresholdPlan(app string, scale Scale, base memsys.Params, thresholds []int) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, memsys.KindRCComp, base, len(thresholds), func(p *memsys.Params, i int) { p.CompThreshold = thresholds[i] }),
+		table(fmt.Sprintf("Competitive threshold sweep: %s on rccomp", app),
+			[]string{"threshold", "exec-cycles", "read-stall", "write-stall", "buf-flush", "self-inval", "overhead%"},
+			labels("%d", thresholds), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %d %d %.2f",
+					r.ExecTime, r.TotalReadStall(), r.TotalWriteStall(), r.TotalBufferFlush(), r.Counters.SelfInvalidations, r.OverheadPct())
+			})}
 }
 
 // FiniteCacheSweep explores the §7 open issue: the overhead added by finite
 // caches (capacity and conflict misses) versus the paper's infinite-cache
 // assumption.
 func FiniteCacheSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, lines []int) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Finite cache sweep: %s on %s (4-way LRU)", app, kind),
-		Head:  []string{"cache-lines", "exec-cycles", "read-miss", "cold-miss", "read-stall", "overhead%"},
-	}
-	labels := []string{"inf"}
-	points := []memsys.Params{base}
-	for _, n := range lines {
-		p := base
-		p.FiniteCache = true
-		p.CacheLines = n
-		p.CacheAssoc = 4
-		labels = append(labels, fmt.Sprintf("%d", n))
-		points = append(points, p)
-	}
-	results, err := runner.Grid(len(points), func(i int) (*stats.Result, error) {
-		return Run(app, scale, kind, points[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		t.Add(labels[i],
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.Counters.ReadMisses),
-			fmt.Sprintf("%d", r.Counters.ColdMisses),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return finiteCachePlan(app, scale, kind, base, lines).run(store{})
+}
+
+func finiteCachePlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, lines []int) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, kind, base, 1+len(lines), func(p *memsys.Params, i int) {
+			if i > 0 {
+				p.FiniteCache = true
+				p.CacheLines = lines[i-1]
+				p.CacheAssoc = 4
+			}
+		}),
+		table(fmt.Sprintf("Finite cache sweep: %s on %s (4-way LRU)", app, kind),
+			[]string{"cache-lines", "exec-cycles", "read-miss", "cold-miss", "read-stall", "overhead%"},
+			append([]string{"inf"}, labels("%d", lines)...), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %d %.2f",
+					r.ExecTime, r.Counters.ReadMisses, r.Counters.ColdMisses, r.TotalReadStall(), r.OverheadPct())
+			})}
 }
 
 // PrefetchSweep explores the §6 suggestion that cold-miss-dominated
 // applications (Cholesky) benefit from prefetching.
 func PrefetchSweep(app string, scale Scale, base memsys.Params, degrees []int) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Sequential prefetch sweep: %s on rcinv", app),
-		Head:  []string{"degree", "exec-cycles", "read-stall", "prefetches", "overhead%"},
-	}
-	results, err := runner.Grid(len(degrees), func(i int) (*stats.Result, error) {
-		p := base
-		p.PrefetchDegree = degrees[i]
-		return Run(app, scale, memsys.KindRCInv, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		t.Add(fmt.Sprintf("%d", degrees[i]),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%d", r.Counters.Prefetches),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return prefetchPlan(app, scale, base, degrees).run(store{})
+}
+
+func prefetchPlan(app string, scale Scale, base memsys.Params, degrees []int) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, memsys.KindRCInv, base, len(degrees), func(p *memsys.Params, i int) { p.PrefetchDegree = degrees[i] }),
+		table(fmt.Sprintf("Sequential prefetch sweep: %s on rcinv", app),
+			[]string{"degree", "exec-cycles", "read-stall", "prefetches", "overhead%"},
+			labels("%d", degrees), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %.2f",
+					r.ExecTime, r.TotalReadStall(), r.Counters.Prefetches, r.OverheadPct())
+			})}
 }
 
 // SCvsRC contrasts the sequentially consistent baseline (what most studies
 // benchmark against) with release consistency, per application.
 func SCvsRC(scale Scale, p memsys.Params) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "SCinv vs RCinv (write stall bought back by release consistency)",
-		Head:  []string{"app", "sc-exec", "rc-exec", "sc-write-stall", "rc-write-stall", "speedup"},
-	}
-	apps := AppNames()
-	kinds := []memsys.Kind{memsys.KindSCInv, memsys.KindRCInv}
-	results, err := runner.Grid(len(apps)*len(kinds), func(i int) (*stats.Result, error) {
-		return Run(apps[i/len(kinds)], scale, kinds[i%len(kinds)], p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range apps {
-		sc, rc := results[2*i], results[2*i+1]
-		t.Add(name,
-			fmt.Sprintf("%d", sc.ExecTime),
-			fmt.Sprintf("%d", rc.ExecTime),
-			fmt.Sprintf("%d", sc.TotalWriteStall()),
-			fmt.Sprintf("%d", rc.TotalWriteStall()),
-			fmt.Sprintf("%.3f", float64(sc.ExecTime)/float64(rc.ExecTime)))
-	}
-	return t, nil
+	return scVsRCPlan(scale, p).run(store{})
+}
+
+func scVsRCPlan(scale Scale, p memsys.Params) plan[*stats.Table] {
+	return plan[*stats.Table]{across(AppNames(), []memsys.Kind{memsys.KindSCInv, memsys.KindRCInv}, scale, p), table(
+		"SCinv vs RCinv (write stall bought back by release consistency)",
+		[]string{"app", "sc-exec", "rc-exec", "sc-write-stall", "rc-write-stall", "speedup"},
+		AppNames(), func(_ int, g []*stats.Result) []string {
+			sc, rc := g[0], g[1]
+			return cols("%d %d %d %d %.3f",
+				sc.ExecTime, rc.ExecTime, sc.TotalWriteStall(), rc.TotalWriteStall(), float64(sc.ExecTime)/float64(rc.ExecTime))
+		})}
 }
 
 // MultithreadSweep explores the §7 open issue of multithreading as a
@@ -188,26 +136,21 @@ func SCvsRC(scale Scale, p memsys.Params) (*stats.Table, error) {
 // work (strong scaling) is attacked by more execution streams whose memory
 // stalls overlap each other's computation.
 func MultithreadSweep(app string, scale Scale, kind memsys.Kind, nodes int, threads []int) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Multithreading sweep: %s on %s, %d nodes", app, kind, nodes),
-		Head:  []string{"threads/node", "streams", "exec-cycles", "read-stall", "core-wait", "overhead%"},
-	}
-	results, err := runner.Grid(len(threads), func(i int) (*stats.Result, error) {
-		return Run(app, scale, kind, memsys.DefaultMT(nodes*threads[i], threads[i]))
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		th := threads[i]
-		t.Add(fmt.Sprintf("%d", th),
-			fmt.Sprintf("%d", nodes*th),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%d", r.TotalCoreWait()),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return multithreadPlan(app, scale, kind, nodes, threads).run(store{})
+}
+
+func multithreadPlan(app string, scale Scale, kind memsys.Kind, nodes int, threads []int) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, kind, memsys.Params{}, len(threads), func(p *memsys.Params, i int) {
+			*p = memsys.DefaultMT(nodes*threads[i], threads[i])
+		}),
+		table(fmt.Sprintf("Multithreading sweep: %s on %s, %d nodes", app, kind, nodes),
+			[]string{"threads/node", "streams", "exec-cycles", "read-stall", "core-wait", "overhead%"},
+			labels("%d", threads), func(i int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %d %.2f",
+					nodes*threads[i], r.ExecTime, r.TotalReadStall(), r.TotalCoreWait(), r.OverheadPct())
+			})}
 }
 
 // ScalabilitySweep runs an application across machine sizes on one memory
@@ -215,28 +158,24 @@ func MultithreadSweep(app string, scale Scale, kind memsys.Kind, nodes int, thre
 // run. The paper's framework descends from the authors' scalability studies
 // (SIGMETRICS'94 / JPDC'94); this sweep recreates that view.
 func ScalabilitySweep(app string, scale Scale, kind memsys.Kind, procs []int) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Scalability: %s on %s", app, kind),
-		Head:  []string{"procs", "exec-cycles", "speedup", "overhead%", "sync-wait"},
-	}
-	results, err := runner.Grid(len(procs), func(i int) (*stats.Result, error) {
-		return Run(app, scale, kind, memsys.Default(procs[i]))
-	})
-	if err != nil {
-		return nil, err
-	}
-	var base Time
-	for i, r := range results {
-		if base == 0 {
-			base = r.ExecTime
-		}
-		t.Add(fmt.Sprintf("%d", procs[i]),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%.2f", float64(base)/float64(r.ExecTime)),
-			fmt.Sprintf("%.2f", r.OverheadPct()),
-			fmt.Sprintf("%d", r.TotalSyncWait()))
-	}
-	return t, nil
+	return scalabilityPlan(app, scale, kind, procs).run(store{})
+}
+
+func scalabilityPlan(app string, scale Scale, kind memsys.Kind, procs []int) plan[*stats.Table] {
+	cells := vary(app, scale, kind, memsys.Params{}, len(procs), func(p *memsys.Params, i int) { *p = memsys.Default(procs[i]) })
+	return plan[*stats.Table]{cells, func(rs []*stats.Result) *stats.Table {
+		var base Time
+		return table(fmt.Sprintf("Scalability: %s on %s", app, kind),
+			[]string{"procs", "exec-cycles", "speedup", "overhead%", "sync-wait"},
+			labels("%d", procs), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				if base == 0 {
+					base = r.ExecTime
+				}
+				return cols("%d %.2f %.2f %d",
+					r.ExecTime, float64(base)/float64(r.ExecTime), r.OverheadPct(), r.TotalSyncWait())
+			})(rs)
+	}}
 }
 
 // TopologySweep runs an application on one memory system across
@@ -244,26 +183,19 @@ func ScalabilitySweep(app string, scale Scale, kind memsys.Kind, procs []int) (*
 // the paper's evaluation uses the mesh). The z-machine column shows how the
 // topology moves the inherent-communication bound itself.
 func TopologySweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, topologies []string) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Topology sweep: %s on %s", app, kind),
-		Head:  []string{"topology", "exec-cycles", "read-stall", "net-queueing-visible", "overhead%"},
-	}
-	results, err := runner.Grid(len(topologies), func(i int) (*stats.Result, error) {
-		p := base
-		p.Topology = topologies[i]
-		return Run(app, scale, kind, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		t.Add(topologies[i],
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%d", r.TotalWriteStall()+r.TotalBufferFlush()),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return topologyPlan(app, scale, kind, base, topologies).run(store{})
+}
+
+func topologyPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, topologies []string) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, kind, base, len(topologies), func(p *memsys.Params, i int) { p.Topology = topologies[i] }),
+		table(fmt.Sprintf("Topology sweep: %s on %s", app, kind),
+			[]string{"topology", "exec-cycles", "read-stall", "net-queueing-visible", "overhead%"},
+			topologies, func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %.2f",
+					r.ExecTime, r.TotalReadStall(), r.TotalWriteStall()+r.TotalBufferFlush(), r.OverheadPct())
+			})}
 }
 
 // RCSyncComparison regenerates the §6 proposal experiment (E15): RCinv
@@ -271,28 +203,18 @@ func TopologySweep(app string, scale Scale, kind memsys.Kind, base memsys.Params
 // data-flow guarantee so releases never stall. The paper predicts the
 // buffer-flush component vanishes.
 func RCSyncComparison(scale Scale, p memsys.Params) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "RCinv vs RCsync (paper §6: decouple data flow from synchronization)",
-		Head:  []string{"app", "rcinv-exec", "rcsync-exec", "rcinv-flush", "rcsync-flush", "speedup"},
-	}
-	apps := AppNames()
-	kinds := []memsys.Kind{memsys.KindRCInv, memsys.KindRCSync}
-	results, err := runner.Grid(len(apps)*len(kinds), func(i int) (*stats.Result, error) {
-		return Run(apps[i/len(kinds)], scale, kinds[i%len(kinds)], p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range apps {
-		inv, sy := results[2*i], results[2*i+1]
-		t.Add(name,
-			fmt.Sprintf("%d", inv.ExecTime),
-			fmt.Sprintf("%d", sy.ExecTime),
-			fmt.Sprintf("%d", inv.TotalBufferFlush()),
-			fmt.Sprintf("%d", sy.TotalBufferFlush()),
-			fmt.Sprintf("%.3f", float64(inv.ExecTime)/float64(sy.ExecTime)))
-	}
-	return t, nil
+	return rcSyncPlan(scale, p).run(store{})
+}
+
+func rcSyncPlan(scale Scale, p memsys.Params) plan[*stats.Table] {
+	return plan[*stats.Table]{across(AppNames(), []memsys.Kind{memsys.KindRCInv, memsys.KindRCSync}, scale, p), table(
+		"RCinv vs RCsync (paper §6: decouple data flow from synchronization)",
+		[]string{"app", "rcinv-exec", "rcsync-exec", "rcinv-flush", "rcsync-flush", "speedup"},
+		AppNames(), func(_ int, g []*stats.Result) []string {
+			inv, sy := g[0], g[1]
+			return cols("%d %d %d %d %.3f",
+				inv.ExecTime, sy.ExecTime, inv.TotalBufferFlush(), sy.TotalBufferFlush(), float64(inv.ExecTime)/float64(sy.ExecTime))
+		})}
 }
 
 // OrderingSweep contrasts Cholesky elimination orderings: the natural
@@ -300,43 +222,22 @@ func RCSyncComparison(scale Scale, p memsys.Params) (*stats.Table, error) {
 // whole system: fill, supernode structure, task parallelism, and hence the
 // communication the memory systems must carry.
 func OrderingSweep(scale Scale, kind memsys.Kind, p memsys.Params) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Elimination ordering sweep: cholesky on %s", kind),
-		Head:  []string{"ordering", "nnz(L)", "supernodes", "exec-cycles", "read-stall", "overhead%"},
-	}
-	grid := cholesky.Small().Grid
-	if scale == ScalePaper {
-		grid = cholesky.Paper().Grid
-	}
+	return orderingPlan(scale, kind, p).run(store{})
+}
+
+func orderingPlan(scale Scale, kind memsys.Kind, p memsys.Params) plan[*stats.Table] {
 	orderings := []string{"natural", "nd"}
-	type cell struct {
-		app *cholesky.CH
-		r   *stats.Result
-	}
-	results, err := runner.Grid(len(orderings), func(i int) (cell, error) {
-		app := cholesky.New(cholesky.Config{Grid: grid, Ordering: orderings[i]})
-		m, err := machine.New(kind, p)
-		if err != nil {
-			return cell{}, err
-		}
-		r, err := apps.Run(app, m)
-		if err != nil {
-			return cell{}, fmt.Errorf("workload: cholesky/%s on %s: %w", orderings[i], kind, err)
-		}
-		return cell{app, r}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range results {
-		t.Add(orderings[i],
-			fmt.Sprintf("%d", c.app.Sym().NNZ()),
-			fmt.Sprintf("%d", c.app.Sym().NS()),
-			fmt.Sprintf("%d", c.r.ExecTime),
-			fmt.Sprintf("%d", c.r.TotalReadStall()),
-			fmt.Sprintf("%.2f", c.r.OverheadPct()))
-	}
-	return t, nil
+	natural := cell{app: "cholesky", scale: scale, kind: kind, p: p}
+	nd := natural
+	nd.ordering = "nd"
+	return plan[*stats.Table]{[]cell{natural, nd}, table(
+		fmt.Sprintf("Elimination ordering sweep: cholesky on %s", kind),
+		[]string{"ordering", "nnz(L)", "supernodes", "exec-cycles", "read-stall", "overhead%"},
+		orderings, func(i int, g []*stats.Result) []string {
+			r, sym := g[0], cholesky.New(choleskyConfig(scale, orderings[i])).Sym()
+			return cols("%d %d %d %d %.2f",
+				sym.NNZ(), sym.NS(), r.ExecTime, r.TotalReadStall(), r.OverheadPct())
+		})}
 }
 
 // DirPointerSweep varies the directory's sharer-pointer budget (Dir-i
@@ -344,32 +245,23 @@ func OrderingSweep(scale Scale, kind memsys.Kind, p memsys.Params) (*stats.Table
 // data (Barnes-Hut's tree and bodies) suffers pointer thrashing when the
 // budget is small.
 func DirPointerSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, pointers []int) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Directory pointer sweep: %s on %s", app, kind),
-		Head:  []string{"pointers", "exec-cycles", "read-miss", "ptr-evictions", "overhead%"},
-	}
-	labels := []string{"full-map"}
-	points := []memsys.Params{base}
-	for _, n := range pointers {
-		p := base
-		p.DirPointers = n
-		labels = append(labels, fmt.Sprintf("%d", n))
-		points = append(points, p)
-	}
-	results, err := runner.Grid(len(points), func(i int) (*stats.Result, error) {
-		return Run(app, scale, kind, points[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		t.Add(labels[i],
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.Counters.ReadMisses),
-			fmt.Sprintf("%d", r.Counters.PointerEvictions),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return dirPointerPlan(app, scale, kind, base, pointers).run(store{})
+}
+
+func dirPointerPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, pointers []int) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, kind, base, 1+len(pointers), func(p *memsys.Params, i int) {
+			if i > 0 {
+				p.DirPointers = pointers[i-1]
+			}
+		}),
+		table(fmt.Sprintf("Directory pointer sweep: %s on %s", app, kind),
+			[]string{"pointers", "exec-cycles", "read-miss", "ptr-evictions", "overhead%"},
+			append([]string{"full-map"}, labels("%d", pointers)...), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %.2f",
+					r.ExecTime, r.Counters.ReadMisses, r.Counters.PointerEvictions, r.OverheadPct())
+			})}
 }
 
 // LineSizeSweep varies the coherence unit of the real memory systems. The
@@ -378,26 +270,19 @@ func DirPointerSweep(app string, scale Scale, kind memsys.Kind, base memsys.Para
 // the real systems' line size exposes the false-sharing cost of bigger
 // lines against their spatial-locality benefit.
 func LineSizeSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, sizes []int) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Line size sweep: %s on %s", app, kind),
-		Head:  []string{"line-bytes", "exec-cycles", "read-miss", "invalidations", "overhead%"},
-	}
-	results, err := runner.Grid(len(sizes), func(i int) (*stats.Result, error) {
-		p := base
-		p.LineSize = sizes[i]
-		return Run(app, scale, kind, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		t.Add(fmt.Sprintf("%d", sizes[i]),
-			fmt.Sprintf("%d", r.ExecTime),
-			fmt.Sprintf("%d", r.Counters.ReadMisses),
-			fmt.Sprintf("%d", r.Counters.Invalidations),
-			fmt.Sprintf("%.2f", r.OverheadPct()))
-	}
-	return t, nil
+	return lineSizePlan(app, scale, kind, base, sizes).run(store{})
+}
+
+func lineSizePlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, sizes []int) plan[*stats.Table] {
+	return plan[*stats.Table]{
+		vary(app, scale, kind, base, len(sizes), func(p *memsys.Params, i int) { p.LineSize = sizes[i] }),
+		table(fmt.Sprintf("Line size sweep: %s on %s", app, kind),
+			[]string{"line-bytes", "exec-cycles", "read-miss", "invalidations", "overhead%"},
+			labels("%d", sizes), func(_ int, g []*stats.Result) []string {
+				r := g[0]
+				return cols("%d %d %d %.2f",
+					r.ExecTime, r.Counters.ReadMisses, r.Counters.Invalidations, r.OverheadPct())
+			})}
 }
 
 // OracleSweep contrasts the z-machine's two oracle models: the paper's §3
@@ -406,27 +291,21 @@ func LineSizeSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params
 // latency). The perfect oracle is the tighter lower bound; the gap shows
 // how much the broadcast approximation costs.
 func OracleSweep(scale Scale, p memsys.Params) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "z-machine oracle: broadcast counter (§3) vs perfect per-consumer (§2.2)",
-		Head:  []string{"app", "broadcast-stall", "perfect-stall", "broadcast-exec", "perfect-exec"},
-	}
-	apps := AppNames()
+	return oraclePlan(scale, p).run(store{})
+}
+
+func oraclePlan(scale Scale, p memsys.Params) plan[*stats.Table] {
 	oracles := []string{"broadcast", "perfect"}
-	results, err := runner.Grid(len(apps)*len(oracles), func(i int) (*stats.Result, error) {
-		po := p
-		po.ZOracle = oracles[i%len(oracles)]
-		return Run(apps[i/len(oracles)], scale, memsys.KindZMachine, po)
-	})
-	if err != nil {
-		return nil, err
+	var cells []cell
+	for _, app := range AppNames() {
+		cells = append(cells, vary(app, scale, memsys.KindZMachine, p, len(oracles), func(p *memsys.Params, i int) { p.ZOracle = oracles[i] })...)
 	}
-	for i, name := range apps {
-		rb, rp := results[2*i], results[2*i+1]
-		t.Add(name,
-			fmt.Sprintf("%d", rb.TotalReadStall()),
-			fmt.Sprintf("%d", rp.TotalReadStall()),
-			fmt.Sprintf("%d", rb.ExecTime),
-			fmt.Sprintf("%d", rp.ExecTime))
-	}
-	return t, nil
+	return plan[*stats.Table]{cells, table(
+		"z-machine oracle: broadcast counter (§3) vs perfect per-consumer (§2.2)",
+		[]string{"app", "broadcast-stall", "perfect-stall", "broadcast-exec", "perfect-exec"},
+		AppNames(), func(_ int, g []*stats.Result) []string {
+			rb, rp := g[0], g[1]
+			return cols("%d %d %d %d",
+				rb.TotalReadStall(), rp.TotalReadStall(), rb.ExecTime, rp.ExecTime)
+		})}
 }

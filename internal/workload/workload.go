@@ -2,7 +2,8 @@
 // applications on the simulated memory systems and regenerates every table
 // and figure of the evaluation section (Figures 2–5 and Table 1), plus the
 // parameter sweeps behind the paper's architectural-implications
-// discussion.
+// discussion. Every experiment is a plan: the cells it declares plus a
+// render step (plan.go).
 package workload
 
 import (
@@ -14,9 +15,7 @@ import (
 	"zsim/internal/apps/intsort"
 	"zsim/internal/apps/maxflow"
 	"zsim/internal/apps/sor"
-	"zsim/internal/machine"
 	"zsim/internal/memsys"
-	"zsim/internal/runner"
 	"zsim/internal/stats"
 )
 
@@ -38,10 +37,7 @@ func NewApp(name string, scale Scale) (apps.App, error) {
 	small := scale == ScaleSmall
 	switch name {
 	case "cholesky":
-		if small {
-			return cholesky.New(cholesky.Small()), nil
-		}
-		return cholesky.New(cholesky.Paper()), nil
+		return cholesky.New(choleskyConfig(scale, "")), nil
 	case "is":
 		if small {
 			return intsort.New(intsort.Small()), nil
@@ -68,22 +64,22 @@ func NewApp(name string, scale Scale) (apps.App, error) {
 	return nil, fmt.Errorf("workload: unknown application %q (want one of %v)", name, AppNames())
 }
 
+// choleskyConfig sizes Cholesky for the scale, with the given elimination
+// ordering ("" is the default, natural ordering).
+func choleskyConfig(scale Scale, ordering string) cholesky.Config {
+	cfg := cholesky.Paper()
+	if scale == ScaleSmall {
+		cfg = cholesky.Small()
+	}
+	cfg.Ordering = ordering
+	return cfg
+}
+
 // Run executes the named application on a fresh machine with the given
 // memory system, verifying the output.
 func Run(name string, scale Scale, kind memsys.Kind, p memsys.Params) (*stats.Result, error) {
-	app, err := NewApp(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(kind, p)
-	if err != nil {
-		return nil, err
-	}
-	res, err := apps.Run(app, m)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s on %s failed verification: %w", name, kind, err)
-	}
-	return res, nil
+	res, _, err := cell{app: name, scale: scale, kind: kind, p: p}.run()
+	return res, err
 }
 
 // figureOf maps the paper's figure numbers to applications.
@@ -96,20 +92,18 @@ func FigureNumbers() []int { return []int{2, 3, 4, 5} }
 // Barnes-Hut): the application on the z-machine and the four RC memory
 // systems, with the per-system overhead decomposition.
 func Figure(n int, scale Scale, p memsys.Params) (*stats.Figure, error) {
-	name, ok := figureOf[n]
-	if !ok {
+	if _, ok := figureOf[n]; !ok {
 		return nil, fmt.Errorf("workload: no figure %d in the paper (want 2-5)", n)
 	}
-	fig := &stats.Figure{Title: fmt.Sprintf("Figure %d: %s (%s scale, %d processors)", n, name, scale, p.Procs)}
-	kinds := memsys.FigureKinds()
-	results, err := runner.Grid(len(kinds), func(i int) (*stats.Result, error) {
-		return Run(name, scale, kinds[i], p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig.Results = results
-	return fig, nil
+	return figurePlan(n, scale, p).run(store{})
+}
+
+func figurePlan(n int, scale Scale, p memsys.Params) plan[*stats.Figure] {
+	name := figureOf[n]
+	title := fmt.Sprintf("Figure %d: %s (%s scale, %d processors)", n, name, scale, p.Procs)
+	return plan[*stats.Figure]{across([]string{name}, memsys.FigureKinds(), scale, p), func(rs []*stats.Result) *stats.Figure {
+		return &stats.Figure{Title: title, Results: rs}
+	}}
 }
 
 // Table1 regenerates the paper's Table 1: the inherent communication and
@@ -118,58 +112,45 @@ func Figure(n int, scale Scale, p memsys.Params) (*stats.Figure, error) {
 // and as a percentage of aggregate execution time, virtually all of it
 // hidden under computation), and the observed (read-stall) cycles.
 func Table1(scale Scale, p memsys.Params) (*stats.Table, []*stats.Result, error) {
-	t := &stats.Table{
-		Title: fmt.Sprintf("Table 1: inherent communication and observed costs on the z-machine (%s scale)", scale),
-		Head:  []string{"app", "writes", "net-cycles", "net % of exec", "observed cost (cycles)", "exec-cycles"},
-	}
-	apps := AppNames()
-	results, err := runner.Grid(len(apps), func(i int) (*stats.Result, error) {
-		return Run(apps[i], scale, memsys.KindZMachine, p)
-	})
+	pl := table1Plan(scale, p)
+	rs, err := pl.results(store{})
 	if err != nil {
 		return nil, nil, err
 	}
-	for i, r := range results {
-		pct := 0.0
-		if r.ExecTime > 0 {
-			pct = 100 * float64(r.Counters.NetworkCycles) / (float64(r.ExecTime) * float64(p.Procs))
-		}
-		t.Add(apps[i],
-			fmt.Sprintf("%d", r.Counters.Writes),
-			fmt.Sprintf("%d", r.Counters.NetworkCycles),
-			fmt.Sprintf("%.3f", pct),
-			fmt.Sprintf("%d", r.TotalReadStall()),
-			fmt.Sprintf("%d", r.ExecTime),
-		)
-	}
-	return t, results, nil
+	return pl.render(rs), rs, nil
+}
+
+func table1Plan(scale Scale, p memsys.Params) plan[*stats.Table] {
+	return plan[*stats.Table]{across(AppNames(), []memsys.Kind{memsys.KindZMachine}, scale, p), table(
+		fmt.Sprintf("Table 1: inherent communication and observed costs on the z-machine (%s scale)", scale),
+		[]string{"app", "writes", "net-cycles", "net % of exec", "observed cost (cycles)", "exec-cycles"},
+		AppNames(), func(_ int, g []*stats.Result) []string {
+			r := g[0]
+			pct := 0.0
+			if r.ExecTime > 0 {
+				pct = 100 * float64(r.Counters.NetworkCycles) / (float64(r.ExecTime) * float64(p.Procs))
+			}
+			return cols("%d %d %.3f %d %d",
+				r.Counters.Writes, r.Counters.NetworkCycles, pct, r.TotalReadStall(), r.ExecTime)
+		})}
 }
 
 // ZvsPRAM regenerates the §5 headline comparison: execution time on the
 // z-machine versus the PRAM for every application. The paper's result is
 // that they match.
 func ZvsPRAM(scale Scale, p memsys.Params) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "z-machine vs PRAM execution time (paper §5: they should match)",
-		Head:  []string{"app", "pram-exec", "zmc-exec", "ratio"},
-	}
-	apps := AppNames()
-	kinds := []memsys.Kind{memsys.KindPRAM, memsys.KindZMachine}
-	results, err := runner.Grid(len(apps)*len(kinds), func(i int) (*stats.Result, error) {
-		return Run(apps[i/len(kinds)], scale, kinds[i%len(kinds)], p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range apps {
-		pr, zr := results[2*i], results[2*i+1]
-		t.Add(name,
-			fmt.Sprintf("%d", pr.ExecTime),
-			fmt.Sprintf("%d", zr.ExecTime),
-			fmt.Sprintf("%.4f", float64(zr.ExecTime)/float64(pr.ExecTime)),
-		)
-	}
-	return t, nil
+	return zVsPRAMPlan(scale, p).run(store{})
+}
+
+func zVsPRAMPlan(scale Scale, p memsys.Params) plan[*stats.Table] {
+	return plan[*stats.Table]{across(AppNames(), []memsys.Kind{memsys.KindPRAM, memsys.KindZMachine}, scale, p), table(
+		"z-machine vs PRAM execution time (paper §5: they should match)",
+		[]string{"app", "pram-exec", "zmc-exec", "ratio"},
+		AppNames(), func(_ int, g []*stats.Result) []string {
+			pr, zr := g[0], g[1]
+			return cols("%d %d %.4f",
+				pr.ExecTime, zr.ExecTime, float64(zr.ExecTime)/float64(pr.ExecTime))
+		})}
 }
 
 // SummaryMatrix runs every application on every memory system and tabulates
@@ -180,23 +161,13 @@ func SummaryMatrix(scale Scale, p memsys.Params) (*stats.Table, error) {
 	for _, k := range kinds {
 		head = append(head, string(k))
 	}
-	t := &stats.Table{
-		Title: fmt.Sprintf("Overhead %% by application and memory system (%s scale, %d processors)", scale, p.Procs),
-		Head:  head,
-	}
-	apps := AppNames()
-	results, err := runner.Grid(len(apps)*len(kinds), func(i int) (*stats.Result, error) {
-		return Run(apps[i/len(kinds)], scale, kinds[i%len(kinds)], p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, app := range apps {
-		row := []string{app}
-		for j := range kinds {
-			row = append(row, fmt.Sprintf("%.2f", results[i*len(kinds)+j].OverheadPct()))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return plan[*stats.Table]{across(AppNames(), kinds, scale, p), table(
+		fmt.Sprintf("Overhead %% by application and memory system (%s scale, %d processors)", scale, p.Procs),
+		head, AppNames(), func(_ int, g []*stats.Result) []string {
+			row := make([]string, len(g))
+			for j, r := range g {
+				row[j] = fmt.Sprintf("%.2f", r.OverheadPct())
+			}
+			return row
+		})}.run(store{})
 }

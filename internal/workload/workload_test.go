@@ -555,7 +555,7 @@ func TestExperimentsRegistry(t *testing.T) {
 			t.Errorf("duplicate experiment ID %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.plan == nil {
 			t.Errorf("%s: incomplete entry", e.ID)
 		}
 	}
@@ -729,7 +729,7 @@ func TestScalingExperimentsRegistry(t *testing.T) {
 		if e.ID != want {
 			t.Errorf("scaling experiment %d has ID %s, want %s", i, e.ID, want)
 		}
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.plan == nil {
 			t.Errorf("%s: incomplete entry", e.ID)
 		}
 	}
