@@ -60,6 +60,7 @@ profile:
 # perf change, run `make bench` and commit BENCH_baseline.json.
 benchdiff:
 	$(GO) run ./cmd/paperbench -bench-json BENCH_ci.json > /dev/null
+	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_ci.json -metrics-only -metric-tolerance 0%
 	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_ci.json -tolerance 25%
 
 # The zsimd integration harness: API-only daemon tests (cache-hit byte

@@ -1,12 +1,11 @@
 // Command benchdiff compares two BENCH_*.json records (written by
 // paperbench -bench-json) and exits nonzero when the new record regresses
-// past tolerance: per-experiment wall time, total wall time, throughput, or
-// any watched simulated metric (scheduler switches, misses, traffic, stall
+// past tolerance: total wall time, throughput, or any watched simulated metric (scheduler switches, misses, traffic, stall
 // cycles). CI's bench-gate job runs it against the blessed baseline.
 //
 // Usage:
 //
-//	benchdiff OLD.json NEW.json [-tolerance 25%] [-metric-tolerance 10%] [-min-ms 10] [-metrics-only]
+//	benchdiff OLD.json NEW.json [-tolerance 25%] [-metric-tolerance 10%] [-metrics-only]
 //
 // Flags may appear before or after the two file arguments.
 package main
@@ -14,7 +13,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"strconv"
 
 	"zsim/internal/benchrec"
 )
@@ -25,8 +23,6 @@ Compares two BENCH_*.json records and exits 1 on regression.
 
   -tolerance T         allowed slowdown for timings/throughput (default 25%)
   -metric-tolerance T  allowed drift for watched simulated metrics (default: -tolerance)
-  -min-ms MS           per-experiment floor: entries with a baseline below
-                       MS ms are informational only (default 10)
   -metrics-only        compare only the watched simulated metrics; timings and
                        throughput are informational, and metric drift in either
                        direction past -metric-tolerance fails (the identity gate
@@ -43,12 +39,11 @@ type cliArgs struct {
 	oldPath, newPath string
 	tolerance        float64
 	metricTolerance  float64
-	minMS            float64
 	metricsOnly      bool
 }
 
 func parseArgs(argv []string) (*cliArgs, error) {
-	a := &cliArgs{tolerance: 0.25, metricTolerance: -1, minMS: 10}
+	a := &cliArgs{tolerance: 0.25, metricTolerance: -1}
 	var files []string
 	for i := 0; i < len(argv); i++ {
 		arg := argv[i]
@@ -82,16 +77,6 @@ func parseArgs(argv []string) (*cliArgs, error) {
 			a.metricTolerance = t
 		case "-metrics-only", "--metrics-only":
 			a.metricsOnly = true
-		case "-min-ms", "--min-ms":
-			v, err := flagVal()
-			if err != nil {
-				return nil, err
-			}
-			ms, err := strconv.ParseFloat(v, 64)
-			if err != nil || ms < 0 {
-				return nil, fmt.Errorf("bad -min-ms %q", v)
-			}
-			a.minMS = ms
 		case "-h", "--help", "-help":
 			return nil, errHelp
 		default:
@@ -134,7 +119,6 @@ func main() {
 
 	opts := benchrec.Options{
 		Tolerance:   a.tolerance,
-		MinWallMS:   a.minMS,
 		MetricsOnly: a.metricsOnly,
 	}
 	if a.metricTolerance >= 0 {
@@ -142,8 +126,8 @@ func main() {
 	}
 	deltas, regressed := benchrec.Diff(old, cur, opts)
 
-	fmt.Printf("benchdiff %s -> %s (tolerance %.0f%%, min %gms)\n\n",
-		a.oldPath, a.newPath, a.tolerance*100, a.minMS)
+	fmt.Printf("benchdiff %s -> %s (tolerance %.0f%%)\n\n",
+		a.oldPath, a.newPath, a.tolerance*100)
 	fmt.Print(benchrec.Format(deltas, opts))
 	if regressed {
 		fmt.Println("\nREGRESSION: at least one quantity crossed tolerance (marked '!').")

@@ -12,27 +12,27 @@ func TestParseArgs(t *testing.T) {
 		{
 			name: "flags after positionals (documented invocation)",
 			argv: []string{"BENCH_baseline.json", "BENCH_ci.json", "-tolerance", "25%"},
-			want: cliArgs{oldPath: "BENCH_baseline.json", newPath: "BENCH_ci.json", tolerance: 0.25, metricTolerance: -1, minMS: 10},
+			want: cliArgs{oldPath: "BENCH_baseline.json", newPath: "BENCH_ci.json", tolerance: 0.25, metricTolerance: -1},
 		},
 		{
 			name: "flags before positionals",
-			argv: []string{"-tolerance", "0.10", "-min-ms", "5", "a.json", "b.json"},
-			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.10, metricTolerance: -1, minMS: 5},
+			argv: []string{"-tolerance", "0.10", "a.json", "b.json"},
+			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.10, metricTolerance: -1},
 		},
 		{
 			name: "metric tolerance separate",
 			argv: []string{"a.json", "b.json", "-metric-tolerance", "50%"},
-			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.25, metricTolerance: 0.5, minMS: 10},
+			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.25, metricTolerance: 0.5},
 		},
 		{
 			name: "defaults",
 			argv: []string{"a.json", "b.json"},
-			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.25, metricTolerance: -1, minMS: 10},
+			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.25, metricTolerance: -1},
 		},
 		{
 			name: "metrics-only identity gate",
 			argv: []string{"a.json", "b.json", "-metrics-only", "-metric-tolerance", "0%"},
-			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.25, metricTolerance: 0, minMS: 10, metricsOnly: true},
+			want: cliArgs{oldPath: "a.json", newPath: "b.json", tolerance: 0.25, metricTolerance: 0, metricsOnly: true},
 		},
 		// -scope is not a benchdiff flag; an invocation that still passes it fails.
 		{name: "scope with two files", argv: []string{"-scope", "a.json", "b.json"}, err: true},

@@ -3,6 +3,11 @@
 // discussion, and a machine-checked verdict on the paper's qualitative
 // claims.
 //
+// The full regeneration simulates every distinct cell of the experiments
+// and the claims once, in one worker pool, and prints its output only once
+// every cell has run. -bench-json and -metrics apply to the full
+// regeneration (and -bench-json to -exp); other modes reject them.
+//
 // Usage:
 //
 //	paperbench                      # everything at small scale
@@ -33,33 +38,85 @@ import (
 	"zsim/internal/workload"
 )
 
-func main() {
-	var (
-		scale    = flag.String("scale", "small", "problem scale: small | paper")
-		procs    = flag.Int("procs", 16, "number of processors")
-		fig      = flag.Int("fig", 0, "regenerate only this figure (2-5)")
-		table    = flag.Int("table", 0, "regenerate only this table (1)")
-		csv      = flag.Bool("csv", false, "emit tables as CSV")
-		md       = flag.Bool("md", false, "emit tables as markdown")
-		svgDir   = flag.String("svg", "", "also write each figure as an SVG into this directory")
-		expID    = flag.String("exp", "", "run a single experiment by ID (E1..E20, S1..S4)")
-		scaling  = flag.String("scaling-procs", "", "comma-separated machine sizes for the S-family scalability experiments (empty = 64,256,1024)")
-		list     = flag.Bool("list", false, "list the experiment index and exit")
-		claims   = flag.Bool("claims", false, "machine-check the paper's claims and print the verdicts")
-		matrix   = flag.Bool("matrix", false, "print the overhead%% matrix: every app on every system")
-		conf     = flag.Bool("conformance", false, "run every app on every system with the conformance checker")
-		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations run concurrently (1 = serial; output is identical at any setting)")
-		benchOut = flag.String("bench-json", "", "with the full regeneration: write a machine-readable timing/throughput record (BENCH_*.json) to this path")
-		withMet  = flag.Bool("metrics", false, "collect and print the global metrics snapshot (implied by -bench-json)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile (post-GC snapshot) to this file on exit")
-	)
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	scale, expID, scaling, svgDir, benchOut, cpuProf, memProf string
+	procs, fig, table, parallel                               int
+	csv, md, list, claims, matrix, conf, metrics              bool
+	// mode is the output mode the flags select, named by its flag; ""
+	// is the full regeneration.
+	mode string
+}
 
-	scalingProcs, err := parseProcsList(*scaling)
+// parseFlags parses args and rejects a flag the selected mode would
+// silently ignore. It reports every error it returns but flag.ErrHelp.
+func parseFlags(args []string) (*options, error) {
+	var o options
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.StringVar(&o.scale, "scale", "small", "problem scale: small | paper")
+	fs.IntVar(&o.procs, "procs", 16, "number of processors")
+	fs.IntVar(&o.fig, "fig", 0, "regenerate only this figure (2-5)")
+	fs.IntVar(&o.table, "table", 0, "regenerate only this table (1)")
+	fs.BoolVar(&o.csv, "csv", false, "emit tables as CSV")
+	fs.BoolVar(&o.md, "md", false, "emit tables as markdown")
+	fs.StringVar(&o.svgDir, "svg", "", "also write each figure as an SVG into this directory")
+	fs.StringVar(&o.expID, "exp", "", "run a single experiment by ID (E1..E20, S1..S4)")
+	fs.StringVar(&o.scaling, "scaling-procs", "", "comma-separated machine sizes for the S-family scalability experiments (empty = 64,256,1024)")
+	fs.BoolVar(&o.list, "list", false, "list the experiment index and exit")
+	fs.BoolVar(&o.claims, "claims", false, "machine-check the paper's claims and print the verdicts")
+	fs.BoolVar(&o.matrix, "matrix", false, "print the overhead%% matrix: every app on every system")
+	fs.BoolVar(&o.conf, "conformance", false, "run every app on every system with the conformance checker")
+	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "max simulations run concurrently (1 = serial; output is identical at any setting)")
+	fs.StringVar(&o.benchOut, "bench-json", "", "with the full regeneration or -exp: write a machine-readable timing/throughput record (BENCH_*.json) to this path")
+	fs.BoolVar(&o.metrics, "metrics", false, "with the full regeneration: collect and print the global metrics snapshot (implied by -bench-json)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile (post-GC snapshot) to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch {
+	case o.conf:
+		o.mode = "-conformance"
+	case o.matrix:
+		o.mode = "-matrix"
+	case o.claims:
+		o.mode = "-claims"
+	case o.list:
+		o.mode = "-list"
+	case o.expID != "":
+		o.mode = "-exp"
+	case o.fig != 0:
+		o.mode = "-fig"
+	case o.table != 0:
+		o.mode = "-table"
+	}
+	var err error
+	switch {
+	case o.table != 0 && o.table != 1:
+		err = fmt.Errorf("no table %d in the paper (want 1)", o.table)
+	case o.benchOut != "" && o.mode != "" && o.mode != "-exp":
+		err = fmt.Errorf("-bench-json writes a record only for the full regeneration or -exp, not %s", o.mode)
+	case o.metrics && o.mode != "" && (o.mode != "-exp" || o.benchOut == ""):
+		err = fmt.Errorf("-metrics prints only with the full regeneration (or goes into -exp's -bench-json record), not %s", o.mode)
+	}
+	if err != nil {
+		fmt.Fprintln(fs.Output(), "paperbench:", err)
+	}
+	return &o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	} else if err != nil {
+		os.Exit(2)
+	}
+
+	scalingProcs, err := parseProcsList(o.scaling)
 	check(err)
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := prof.Start(o.cpuProf, o.memProf)
 	check(err)
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -67,77 +124,71 @@ func main() {
 		}
 	}()
 
-	if *withMet || *benchOut != "" {
+	if o.metrics || o.benchOut != "" {
 		zsim.EnableMetrics(true)
 		zsim.ResetGlobalMetrics()
 	}
 
-	zsim.SetParallelism(*parallel)
-	sc := zsim.Scale(*scale)
-	params := zsim.DefaultParams(*procs)
-	pr := printer{w: os.Stdout, csv: *csv, md: *md, svgDir: *svgDir}
-	newRecord := func() benchrec.Record {
-		return benchrec.Record{Scale: *scale, Procs: *procs, Parallel: *parallel,
-			GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
-	}
-	switch {
-	case *conf:
+	zsim.SetParallelism(o.parallel)
+	sc := zsim.Scale(o.scale)
+	params := zsim.DefaultParams(o.procs)
+	pr := printer{w: os.Stdout, csv: o.csv, md: o.md, svgDir: o.svgDir}
+	rec := benchrec.Record{Scale: o.scale, Procs: o.procs, Parallel: o.parallel,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+	switch o.mode {
+	case "-conformance":
 		t, pass, err := zsim.ConformanceSweep(sc, params)
 		check(err)
 		pr.table(t)
 		if !pass {
 			os.Exit(1)
 		}
-	case *matrix:
+	case "-matrix":
 		t, err := zsim.SummaryMatrix(sc, params)
 		check(err)
 		pr.table(t)
-	case *claims:
+	case "-claims":
 		t, ok, err := zsim.EvaluateClaims(sc, params)
 		check(err)
 		pr.table(t)
 		if !ok {
 			os.Exit(1)
 		}
-	case *list:
+	case "-list":
 		for _, e := range zsim.Experiments() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		for _, e := range zsim.ScalingExperiments(scalingProcs) {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
-	case *expID != "":
-		e, err := zsim.FindExperimentScaled(*expID, scalingProcs)
+	case "-exp":
+		e, err := zsim.FindExperimentScaled(o.expID, scalingProcs)
 		check(err)
-		expStart := time.Now()
+		start := time.Now()
 		art, err := e.Run(sc, params)
 		check(err)
+		rec.TotalWallMS = msSince(start)
 		check(pr.artifact(e.ID, art))
-		if *benchOut != "" {
-			rec := newRecord()
-			rec.Experiments = []benchrec.Entry{{ID: e.ID, Title: e.Title, WallMS: msSince(expStart)}}
-			rec.TotalWallMS = rec.Experiments[0].WallMS
+		if o.benchOut != "" {
+			rec.Experiments = []benchrec.Entry{{ID: e.ID, Title: e.Title}}
 			if c, ok := art.(interface{ CurveData() benchrec.Curve }); ok {
 				rec.Curves = append(rec.Curves, c.CurveData())
 			}
-			if zsim.MetricsEnabled() {
-				snap := zsim.GlobalMetrics()
-				rec.Metrics = &snap
-			}
+			snap := zsim.GlobalMetrics()
+			rec.Metrics = &snap
 			rec.Timestamp = time.Now().UTC().Format(time.RFC3339)
-			check(rec.Write(*benchOut))
-			fmt.Printf("wrote %s (%s, %.0f ms)\n", *benchOut, e.ID, rec.TotalWallMS)
+			check(rec.Write(o.benchOut))
+			fmt.Printf("wrote %s (%s, %.0f ms)\n", o.benchOut, e.ID, rec.TotalWallMS)
 		}
-	case *fig != 0:
-		f, err := zsim.PaperFigure(*fig, sc, params)
+	case "-fig":
+		f, err := zsim.PaperFigure(o.fig, sc, params)
 		check(err)
-		check(pr.artifact(fmt.Sprintf("figure%d", *fig), f))
-	case *table == 1:
+		check(pr.artifact(fmt.Sprintf("figure%d", o.fig), f))
+	case "-table":
 		t, _, err := zsim.PaperTable1(sc, params)
 		check(err)
 		pr.table(t)
 	default:
-		rec := newRecord()
 		ok, err := regenerate(pr, sc, params, &rec)
 		check(err)
 		if zsim.MetricsEnabled() {
@@ -146,11 +197,11 @@ func main() {
 			fmt.Println("--- metrics ---")
 			fmt.Print(snap.String())
 		}
-		if *benchOut != "" {
+		if o.benchOut != "" {
 			rec.Timestamp = time.Now().UTC().Format(time.RFC3339)
-			check(rec.Write(*benchOut))
+			check(rec.Write(o.benchOut))
 			fmt.Printf("wrote %s (%d experiments, %.0f ms total, %.2f experiments/s at -parallel %d)\n",
-				*benchOut, len(rec.Experiments), rec.TotalWallMS, rec.ExperimentsPerSec, *parallel)
+				o.benchOut, len(rec.Experiments), rec.TotalWallMS, rec.ExperimentsPerSec, o.parallel)
 		}
 		if !ok {
 			os.Exit(1)
@@ -159,35 +210,24 @@ func main() {
 }
 
 // regenerate is the complete regeneration: every indexed experiment, then
-// the machine-checked claim verdicts, all on one shared cell store so each
-// distinct cell is simulated once. Each phase is timed into rec for the
-// -bench-json perf record: an experiment's wall time covers only the cells
-// it was the first to declare. The returned flag is the claims' overall
-// verdict.
+// the machine-checked claim verdicts, resolved by workload.Regenerate so
+// each distinct cell is simulated once. Nothing is printed until every
+// cell has run. The record gets the experiment index and the total wall
+// time; the returned flag is the claims' overall verdict.
 func regenerate(pr printer, sc zsim.Scale, params zsim.Params, rec *benchrec.Record) (bool, error) {
 	start := time.Now()
-	g := workload.NewRegeneration(sc, params)
-	for _, e := range zsim.Experiments() {
-		fmt.Fprintf(pr.w, "--- %s: %s ---\n", e.ID, e.Title)
-		expStart := time.Now()
-		art, err := g.Run(e)
-		if err != nil {
-			return false, err
-		}
-		rec.Experiments = append(rec.Experiments, benchrec.Entry{
-			ID: e.ID, Title: e.Title, WallMS: msSince(expStart),
-		})
-		if err := pr.artifact(e.ID, art); err != nil {
-			return false, err
-		}
-	}
-	claimsStart := time.Now()
-	t, ok, err := g.Claims()
+	arts, claims, ok, err := workload.Regenerate(sc, params)
 	if err != nil {
 		return false, err
 	}
-	pr.table(t)
-	rec.ClaimsWallMS = msSince(claimsStart)
+	for i, e := range zsim.Experiments() {
+		fmt.Fprintf(pr.w, "--- %s: %s ---\n", e.ID, e.Title)
+		if err := pr.artifact(e.ID, arts[i]); err != nil {
+			return false, err
+		}
+		rec.Experiments = append(rec.Experiments, benchrec.Entry{ID: e.ID, Title: e.Title})
+	}
+	pr.table(claims)
 	rec.TotalWallMS = msSince(start)
 	if rec.TotalWallMS > 0 {
 		rec.ExperimentsPerSec = float64(len(rec.Experiments)) / (rec.TotalWallMS / 1000)

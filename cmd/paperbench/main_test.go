@@ -42,6 +42,52 @@ func TestDefaultRegenerationGolden(t *testing.T) {
 	}
 }
 
+// TestParseFlags: a flag the selected mode would silently ignore is an
+// error, and every flag a mode uses is accepted.
+func TestParseFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		mode string // "" is the full regeneration
+		err  bool
+	}{
+		{args: nil},
+		{args: []string{"-bench-json", "b.json"}},
+		{args: []string{"-metrics", "-parallel", "1"}},
+		{args: []string{"-table", "1"}, mode: "-table"},
+		{args: []string{"-table", "2"}, err: true},
+		{args: []string{"-table", "-1"}, err: true},
+		{args: []string{"-fig", "2", "-table", "3"}, err: true},
+		{args: []string{"-fig", "2", "-svg", "out"}, mode: "-fig"},
+		{args: []string{"-exp", "S3", "-bench-json", "b.json"}, mode: "-exp"},
+		{args: []string{"-exp", "S3", "-bench-json", "b.json", "-metrics"}, mode: "-exp"},
+		{args: []string{"-exp", "E5", "-metrics"}, err: true},
+		{args: []string{"-table", "1", "-bench-json", "b.json"}, err: true},
+		{args: []string{"-fig", "2", "-bench-json", "b.json"}, err: true},
+		{args: []string{"-claims", "-bench-json", "b.json"}, err: true},
+		{args: []string{"-matrix", "-bench-json", "b.json"}, err: true},
+		{args: []string{"-conformance", "-bench-json", "b.json"}, err: true},
+		{args: []string{"-list", "-bench-json", "b.json"}, err: true},
+		{args: []string{"-fig", "2", "-metrics"}, err: true},
+		{args: []string{"-table", "1", "-metrics"}, err: true},
+		{args: []string{"-claims", "-metrics"}, err: true},
+		{args: []string{"-matrix", "-metrics"}, err: true},
+		{args: []string{"-conformance", "-metrics"}, err: true},
+		{args: []string{"-list", "-metrics"}, err: true},
+		{args: []string{"-claims", "-md"}, mode: "-claims"},
+		{args: []string{"-bogus"}, err: true},
+	}
+	for _, c := range cases {
+		o, err := parseFlags(c.args)
+		if (err != nil) != c.err {
+			t.Errorf("parseFlags(%q) err = %v, want err=%v", c.args, err, c.err)
+			continue
+		}
+		if err == nil && o.mode != c.mode {
+			t.Errorf("parseFlags(%q) mode = %q, want %q", c.args, o.mode, c.mode)
+		}
+	}
+}
+
 // firstDiffLine returns the 1-based number of the first line where a and b
 // differ.
 func firstDiffLine(a, b string) int {

@@ -27,7 +27,6 @@ type Record struct {
 	GOMAXPROCS        int               `json:"gomaxprocs"`
 	NumCPU            int               `json:"num_cpu"`
 	Experiments       []Entry           `json:"experiments"`
-	ClaimsWallMS      float64           `json:"claims_wall_ms"`
 	TotalWallMS       float64           `json:"total_wall_ms"`
 	ExperimentsPerSec float64           `json:"experiments_per_sec"`
 	Metrics           *metrics.Snapshot `json:"metrics,omitempty"`
@@ -37,11 +36,10 @@ type Record struct {
 	Curves []Curve `json:"curves,omitempty"`
 }
 
-// Entry is one experiment's wall-clock timing.
+// Entry names one experiment the record's run regenerated.
 type Entry struct {
-	ID     string  `json:"id"`
-	Title  string  `json:"title"`
-	WallMS float64 `json:"wall_ms"`
+	ID    string `json:"id"`
+	Title string `json:"title"`
 }
 
 // Curve is one scalability experiment's simulated overhead-class curve:
@@ -132,11 +130,11 @@ var watchedMetrics = []watchedMetric{
 
 // Delta is one compared quantity.
 type Delta struct {
-	Name       string  // what was compared ("E3 wall_ms", "metric sim.switches", ...)
+	Name       string  // what was compared ("total_wall_ms", "metric sim.switches", ...)
 	Old, New   float64 //
 	Pct        float64 // (new-old)/old * 100; 0 when old == 0
 	Regression bool    // past tolerance in the bad direction
-	Note       string  // "skipped: below floor", "only in old", ...
+	Note       string  // "no baseline", "only in new", ...
 }
 
 // Options configures a comparison.
@@ -147,10 +145,6 @@ type Options struct {
 	// MetricTolerance is the allowed fractional drift for watched
 	// simulated metrics; 0 selects Tolerance.
 	MetricTolerance float64
-	// MinWallMS is the per-experiment floor: entries whose old wall time is
-	// below it are reported but never fail the gate (sub-floor timings are
-	// noise-dominated on shared CI hosts).
-	MinWallMS float64
 	// MetricsOnly compares only the watched simulated metrics: timings and
 	// throughput are reported informationally but never regress, and metric
 	// drift in EITHER direction past MetricTolerance is a regression. This
@@ -161,11 +155,11 @@ type Options struct {
 }
 
 // Diff compares new against old and returns every delta plus whether any
-// regression crossed tolerance. Timings regress when new exceeds
+// regression crossed tolerance. Total wall time regresses when new exceeds
 // old*(1+tol); throughput regresses when new falls below old*(1-tol);
 // watched metrics regress when they drift past MetricTolerance in their
-// bad direction. Experiments present in only one record are noted but are
-// not regressions (the experiment index legitimately grows across PRs).
+// bad direction. A regeneration resolves every cell in one grid, so the
+// record has no per-experiment timing to compare.
 func Diff(old, new *Record, opts Options) (deltas []Delta, regressed bool) {
 	tol := opts.Tolerance
 	mtol := opts.MetricTolerance
@@ -175,53 +169,23 @@ func Diff(old, new *Record, opts Options) (deltas []Delta, regressed bool) {
 		mtol = tol
 	}
 
-	timing := func(name string, o, n, floor float64) {
-		d := Delta{Name: name, Old: o, New: n, Pct: pctDelta(o, n)}
+	// Timings: total wall time is worse higher, throughput lower.
+	for _, q := range []struct {
+		name  string
+		o, n  float64
+		worse float64
+	}{
+		{"total_wall_ms", old.TotalWallMS, new.TotalWallMS, +1},
+		{"experiments_per_sec", old.ExperimentsPerSec, new.ExperimentsPerSec, -1},
+	} {
+		d := Delta{Name: q.name, Old: q.o, New: q.n, Pct: pctDelta(q.o, q.n)}
 		switch {
-		case o <= 0:
+		case q.o <= 0:
 			d.Note = "no baseline"
 		case opts.MetricsOnly:
 			d.Note = "metrics-only, informational"
-		case o < floor:
-			d.Note = fmt.Sprintf("below %gms floor, informational", floor)
-		case n > o*(1+tol):
-			d.Regression = true
-		}
-		deltas = append(deltas, d)
-		regressed = regressed || d.Regression
-	}
-
-	oldByID := make(map[string]Entry, len(old.Experiments))
-	for _, e := range old.Experiments {
-		oldByID[e.ID] = e
-	}
-	seen := make(map[string]bool, len(new.Experiments))
-	for _, e := range new.Experiments {
-		seen[e.ID] = true
-		oe, ok := oldByID[e.ID]
-		if !ok {
-			deltas = append(deltas, Delta{Name: e.ID + " wall_ms", New: e.WallMS, Note: "only in new"})
-			continue
-		}
-		timing(e.ID+" wall_ms", oe.WallMS, e.WallMS, opts.MinWallMS)
-	}
-	for _, e := range old.Experiments {
-		if !seen[e.ID] {
-			deltas = append(deltas, Delta{Name: e.ID + " wall_ms", Old: e.WallMS, Note: "only in old"})
-		}
-	}
-
-	timing("claims_wall_ms", old.ClaimsWallMS, new.ClaimsWallMS, opts.MinWallMS)
-	timing("total_wall_ms", old.TotalWallMS, new.TotalWallMS, 0)
-
-	// Throughput: lower is worse.
-	{
-		o, n := old.ExperimentsPerSec, new.ExperimentsPerSec
-		d := Delta{Name: "experiments_per_sec", Old: o, New: n, Pct: pctDelta(o, n)}
-		if opts.MetricsOnly {
-			d.Note = "metrics-only, informational"
-		} else if o > 0 && n < o*(1-tol) {
-			d.Regression = true
+		default:
+			d.Regression = q.worse*(q.n-q.o) > tol*q.o
 		}
 		deltas = append(deltas, d)
 		regressed = regressed || d.Regression

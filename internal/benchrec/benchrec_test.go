@@ -23,10 +23,9 @@ func sampleRecord() *Record {
 		Procs:     16,
 		Parallel:  4,
 		Experiments: []Entry{
-			{ID: "E1", Title: "one", WallMS: 100},
-			{ID: "E2", Title: "two", WallMS: 200},
+			{ID: "E1", Title: "one"},
+			{ID: "E2", Title: "two"},
 		},
-		ClaimsWallMS:      50,
 		TotalWallMS:       350,
 		ExperimentsPerSec: 8,
 		Metrics:           &s,
@@ -73,44 +72,28 @@ func TestDiffSelfCompareIsClean(t *testing.T) {
 func TestDiffCatchesTimingRegression(t *testing.T) {
 	old := sampleRecord()
 	cur := sampleRecord()
-	cur.Experiments[1].WallMS = old.Experiments[1].WallMS * 1.30 // past 25%
+	cur.TotalWallMS = old.TotalWallMS * 1.30 // past 25%
 	deltas, regressed := Diff(old, cur, Options{Tolerance: 0.25})
 	if !regressed {
 		t.Fatalf("30%% slowdown not flagged:\n%s", Format(deltas, Options{}))
 	}
 	found := false
 	for _, d := range deltas {
-		if d.Name == "E2 wall_ms" && d.Regression {
+		if d.Name == "total_wall_ms" && d.Regression {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("E2 wall_ms not marked as the regression:\n%s", Format(deltas, Options{}))
+		t.Fatalf("total_wall_ms not marked as the regression:\n%s", Format(deltas, Options{}))
 	}
 }
 
 func TestDiffWithinToleranceIsClean(t *testing.T) {
 	old := sampleRecord()
 	cur := sampleRecord()
-	cur.Experiments[1].WallMS = old.Experiments[1].WallMS * 1.20 // within 25%
-	cur.TotalWallMS = old.TotalWallMS * 1.20
+	cur.TotalWallMS = old.TotalWallMS * 1.20 // within 25%
 	if _, regressed := Diff(old, cur, Options{Tolerance: 0.25}); regressed {
 		t.Fatal("20% slowdown flagged at 25% tolerance")
-	}
-}
-
-func TestDiffMinWallFloor(t *testing.T) {
-	old := sampleRecord()
-	cur := sampleRecord()
-	old.Experiments[0].WallMS = 2 // tiny: noise-dominated
-	cur.Experiments[0].WallMS = 9 // 4.5x, but below floor
-	deltas, regressed := Diff(old, cur, Options{Tolerance: 0.25, MinWallMS: 10})
-	if regressed {
-		t.Fatalf("sub-floor timing failed the gate:\n%s", Format(deltas, Options{}))
-	}
-	// Without the floor it must fail.
-	if _, regressed := Diff(old, cur, Options{Tolerance: 0.25}); !regressed {
-		t.Fatal("4.5x slowdown above floor not flagged")
 	}
 }
 
@@ -162,29 +145,6 @@ func TestDiffMissingMetricsSection(t *testing.T) {
 	}
 }
 
-func TestDiffExperimentSetDrift(t *testing.T) {
-	old := sampleRecord()
-	cur := sampleRecord()
-	cur.Experiments = append(cur.Experiments, Entry{ID: "E9", Title: "new", WallMS: 42})
-	old.Experiments = append(old.Experiments, Entry{ID: "E0", Title: "gone", WallMS: 7})
-	deltas, regressed := Diff(old, cur, Options{Tolerance: 0.25})
-	if regressed {
-		t.Fatalf("experiment-set drift treated as regression:\n%s", Format(deltas, Options{}))
-	}
-	var onlyNew, onlyOld bool
-	for _, d := range deltas {
-		if d.Name == "E9 wall_ms" && d.Note == "only in new" {
-			onlyNew = true
-		}
-		if d.Name == "E0 wall_ms" && d.Note == "only in old" {
-			onlyOld = true
-		}
-	}
-	if !onlyNew || !onlyOld {
-		t.Fatalf("set drift not noted (onlyNew=%v onlyOld=%v):\n%s", onlyNew, onlyOld, Format(deltas, Options{}))
-	}
-}
-
 func TestLoadWriteRoundTrip(t *testing.T) {
 	r := sampleRecord()
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
@@ -209,10 +169,10 @@ func TestLoadWriteRoundTrip(t *testing.T) {
 func TestFormatMarksRegressions(t *testing.T) {
 	old := sampleRecord()
 	cur := sampleRecord()
-	cur.Experiments[0].WallMS = 1000
+	cur.TotalWallMS = 1000
 	deltas, _ := Diff(old, cur, Options{Tolerance: 0.25})
 	out := Format(deltas, Options{})
-	if !strings.Contains(out, "! E1 wall_ms") {
+	if !strings.Contains(out, "! total_wall_ms") {
 		t.Fatalf("regression not marked with '!':\n%s", out)
 	}
 	if !strings.Contains(out, "quantity") {
@@ -230,9 +190,6 @@ func TestDiffMetricsOnly(t *testing.T) {
 
 	// Wildly different timings, identical metrics: clean.
 	slow := sampleRecord()
-	for i := range slow.Experiments {
-		slow.Experiments[i].WallMS *= 10
-	}
 	slow.TotalWallMS *= 10
 	slow.ExperimentsPerSec /= 10
 	deltas, regressed := Diff(sampleRecord(), slow, opts)

@@ -149,17 +149,24 @@ func Claims() []Claim {
 // EvaluateClaims runs every claim and returns the verdict table plus an
 // overall pass flag.
 func EvaluateClaims(scale Scale, p memsys.Params) (*stats.Table, bool, error) {
-	return evaluateClaims(store{}, scale, p)
-}
-
-// evaluateClaims fills the claims' cells (every app × kind at p, the
-// SummaryMatrix set) into s and checks each claim against them. A cell
-// is read from s the first time a claim looks it up, so only the cells
-// the claims use count in metrics.
-func evaluateClaims(s store, scale Scale, p memsys.Params) (*stats.Table, bool, error) {
-	if err := s.fill(across(AppNames(), memsys.Kinds(), scale, p)); err != nil {
+	s, err := fill(claimCells(scale, p))
+	if err != nil {
 		return nil, false, err
 	}
+	t, ok := checkClaims(s, scale, p)
+	return t, ok, nil
+}
+
+// claimCells declares the claims' cells: every app × kind at p, the
+// SummaryMatrix set.
+func claimCells(scale Scale, p memsys.Params) []cell {
+	return across(AppNames(), memsys.Kinds(), scale, p)
+}
+
+// checkClaims checks each claim against the claims' cells in s. A cell is
+// read from s the first time a claim looks it up, so only the cells the
+// claims use count in metrics.
+func checkClaims(s store, scale Scale, p memsys.Params) (*stats.Table, bool) {
 	read := map[cell]*stats.Result{}
 	run := func(app string, kind memsys.Kind) *stats.Result {
 		c := cell{app: app, scale: scale, kind: kind, p: p}
@@ -182,5 +189,5 @@ func evaluateClaims(s store, scale Scale, p memsys.Params) (*stats.Table, bool, 
 		}
 		t.Add(cl.ID, verdict, detail, cl.Text)
 	}
-	return t, all, nil
+	return t, all
 }

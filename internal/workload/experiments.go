@@ -20,10 +20,10 @@ type Experiment struct {
 	plan  func(scale Scale, p memsys.Params) plan[Artifact]
 }
 
-// Run regenerates the experiment on a fresh store. A Regeneration runs it
-// on a store shared with the rest of the regeneration instead.
+// Run regenerates the experiment alone. Regenerate resolves it together
+// with the rest of the index instead.
 func (e Experiment) Run(scale Scale, p memsys.Params) (Artifact, error) {
-	return e.plan(scale, p).run(store{})
+	return e.plan(scale, p).run()
 }
 
 // experiment indexes a plan whose artifact is any Artifact type.

@@ -48,10 +48,9 @@ func (c cell) run() (*stats.Result, metrics.Snapshot, error) {
 	return res, m.Metrics(), nil
 }
 
-// A store holds the cells simulated so far, so that a cell declared by
-// several experiments runs once. It is scoped to one regeneration (see
-// Regeneration); every other entry point runs on a fresh store. Not safe
-// for concurrent use.
+// A store holds the results of one resolve: every distinct cell of a cell
+// list, simulated once. It lives for the call that filled it, so no store
+// outlives an entry point.
 type store map[cell]*stored
 
 type stored struct {
@@ -62,33 +61,28 @@ type stored struct {
 	fresh bool
 }
 
-// fill simulates every cell the store lacks, each distinct cell once, in
-// one runner.Grid.
-func (s store) fill(cells []cell) error {
-	var miss []cell
+// fill simulates every distinct cell of cells once, in declaration order,
+// in one runner.Grid.
+func fill(cells []cell) (store, error) {
+	s := store{}
+	var distinct []cell
 	for _, c := range cells {
 		if _, ok := s[c]; !ok {
 			s[c] = nil
-			miss = append(miss, c)
+			distinct = append(distinct, c)
 		}
 	}
-	if len(miss) == 0 {
-		return nil
-	}
-	ran, err := runner.Grid(len(miss), func(i int) (*stored, error) {
-		res, met, err := miss[i].run()
+	ran, err := runner.Grid(len(distinct), func(i int) (*stored, error) {
+		res, met, err := distinct[i].run()
 		return &stored{res, met, true}, err
 	})
 	if err != nil {
-		for _, c := range miss {
-			delete(s, c)
-		}
-		return err
+		return nil, err
 	}
-	for i, c := range miss {
+	for i, c := range distinct {
 		s[c] = ran[i]
 	}
-	return nil
+	return s, nil
 }
 
 // get returns a private copy of a filled cell's result. Every read counts
@@ -113,21 +107,27 @@ type plan[A any] struct {
 	render func(rs []*stats.Result) A
 }
 
-// results fills the plan's cells into s and reads each of them.
-func (pl plan[A]) results(s store) ([]*stats.Result, error) {
-	if err := s.fill(pl.cells); err != nil {
-		return nil, err
-	}
+// read reads each of the plan's cells from s.
+func (pl plan[A]) read(s store) []*stats.Result {
 	rs := make([]*stats.Result, len(pl.cells))
 	for i, c := range pl.cells {
 		rs[i] = s.get(c)
 	}
-	return rs, nil
+	return rs
 }
 
-// run resolves the plan against s and renders it.
-func (pl plan[A]) run(s store) (A, error) {
-	rs, err := pl.results(s)
+// results simulates the plan's cells and reads each of them.
+func (pl plan[A]) results() ([]*stats.Result, error) {
+	s, err := fill(pl.cells)
+	if err != nil {
+		return nil, err
+	}
+	return pl.read(s), nil
+}
+
+// run resolves the plan and renders it.
+func (pl plan[A]) run() (A, error) {
+	rs, err := pl.results()
 	if err != nil {
 		var zero A
 		return zero, err
@@ -192,30 +192,28 @@ func labels[T any](format string, vs []T) []string {
 	return out
 }
 
-// Regeneration runs experiments and the claims against one shared store,
-// so a cell that several of them declare is simulated once. Each artifact
-// renders from private copies of the stored results, so no artifact can
-// change another. A Regeneration lives for one regeneration and is not
-// safe for concurrent use.
-type Regeneration struct {
-	scale Scale
-	p     memsys.Params
-	cells store
-}
-
-// NewRegeneration returns a regeneration at the given scale and base
-// parameters with an empty store.
-func NewRegeneration(scale Scale, p memsys.Params) *Regeneration {
-	return &Regeneration{scale: scale, p: p, cells: store{}}
-}
-
-// Run regenerates one experiment, reusing every cell already simulated.
-func (g *Regeneration) Run(e Experiment) (Artifact, error) {
-	return e.plan(g.scale, g.p).run(g.cells)
-}
-
-// Claims evaluates the paper's claims, reusing every cell already
-// simulated.
-func (g *Regeneration) Claims() (*stats.Table, bool, error) {
-	return evaluateClaims(g.cells, g.scale, g.p)
+// Regenerate is the default regeneration: every experiment of the index
+// (Experiments) and the paper's claims, resolved together. It simulates
+// each distinct cell of every plan and of the claims once, in one
+// runner.Grid, then renders the artifacts in index order and evaluates the
+// claims from the same results. It returns the artifacts, aligned with
+// Experiments(), the claims' verdict table and their overall verdict.
+func Regenerate(scale Scale, p memsys.Params) ([]Artifact, *stats.Table, bool, error) {
+	var plans []plan[Artifact]
+	var cells []cell
+	for _, e := range Experiments() {
+		pl := e.plan(scale, p)
+		plans = append(plans, pl)
+		cells = append(cells, pl.cells...)
+	}
+	s, err := fill(append(cells, claimCells(scale, p)...))
+	if err != nil {
+		return nil, nil, false, err
+	}
+	arts := make([]Artifact, len(plans))
+	for i, pl := range plans {
+		arts[i] = pl.render(pl.read(s))
+	}
+	t, ok := checkClaims(s, scale, p)
+	return arts, t, ok, nil
 }

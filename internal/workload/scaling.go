@@ -33,7 +33,7 @@ func OverheadScaling(app string, scale Scale, kind memsys.Kind, base memsys.Para
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("workload: OverheadScaling needs at least one machine size")
 	}
-	return scalingPlan("", app, scale, kind, base, procs).run(store{})
+	return scalingPlan("", app, scale, kind, base, procs).run()
 }
 
 // scalingPlan declares OverheadScaling's cells; id tags the curve.

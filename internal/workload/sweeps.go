@@ -13,14 +13,14 @@ type Time = memsys.Time
 
 // The sweeps below regenerate the paper's §6 architectural-implications
 // analysis and §7 open issues as concrete ablation experiments. Each
-// exported sweep runs its plan on a fresh store; the regeneration index
-// (Experiments) runs the same plans on a shared one.
+// exported sweep resolves its plan alone; Regenerate resolves the same
+// plans together with the rest of the index.
 
 // StoreBufferSweep varies the store buffer depth (§6: "write stall time is
 // dependent on two parameters: the store buffer size and the relative speed
 // of the network").
 func StoreBufferSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, sizes []int) (*stats.Table, error) {
-	return storeBufferPlan(app, scale, kind, base, sizes).run(store{})
+	return storeBufferPlan(app, scale, kind, base, sizes).run()
 }
 
 func storeBufferPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, sizes []int) plan[*stats.Table] {
@@ -38,7 +38,7 @@ func storeBufferPlan(app string, scale Scale, kind memsys.Kind, base memsys.Para
 // NetworkSweep varies the link bandwidth (§6: improving the network speed
 // relative to the processor lowers write stall).
 func NetworkSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, cyclesPerByte []float64) (*stats.Table, error) {
-	return networkPlan(app, scale, kind, base, cyclesPerByte).run(store{})
+	return networkPlan(app, scale, kind, base, cyclesPerByte).run()
 }
 
 func networkPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, cyclesPerByte []float64) plan[*stats.Table] {
@@ -55,7 +55,7 @@ func networkPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, 
 
 // ThresholdSweep varies RCcomp's competitive self-invalidation threshold.
 func ThresholdSweep(app string, scale Scale, base memsys.Params, thresholds []int) (*stats.Table, error) {
-	return thresholdPlan(app, scale, base, thresholds).run(store{})
+	return thresholdPlan(app, scale, base, thresholds).run()
 }
 
 func thresholdPlan(app string, scale Scale, base memsys.Params, thresholds []int) plan[*stats.Table] {
@@ -74,7 +74,7 @@ func thresholdPlan(app string, scale Scale, base memsys.Params, thresholds []int
 // caches (capacity and conflict misses) versus the paper's infinite-cache
 // assumption.
 func FiniteCacheSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, lines []int) (*stats.Table, error) {
-	return finiteCachePlan(app, scale, kind, base, lines).run(store{})
+	return finiteCachePlan(app, scale, kind, base, lines).run()
 }
 
 func finiteCachePlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, lines []int) plan[*stats.Table] {
@@ -98,7 +98,7 @@ func finiteCachePlan(app string, scale Scale, kind memsys.Kind, base memsys.Para
 // PrefetchSweep explores the §6 suggestion that cold-miss-dominated
 // applications (Cholesky) benefit from prefetching.
 func PrefetchSweep(app string, scale Scale, base memsys.Params, degrees []int) (*stats.Table, error) {
-	return prefetchPlan(app, scale, base, degrees).run(store{})
+	return prefetchPlan(app, scale, base, degrees).run()
 }
 
 func prefetchPlan(app string, scale Scale, base memsys.Params, degrees []int) plan[*stats.Table] {
@@ -116,7 +116,7 @@ func prefetchPlan(app string, scale Scale, base memsys.Params, degrees []int) pl
 // SCvsRC contrasts the sequentially consistent baseline (what most studies
 // benchmark against) with release consistency, per application.
 func SCvsRC(scale Scale, p memsys.Params) (*stats.Table, error) {
-	return scVsRCPlan(scale, p).run(store{})
+	return scVsRCPlan(scale, p).run()
 }
 
 func scVsRCPlan(scale Scale, p memsys.Params) plan[*stats.Table] {
@@ -136,7 +136,7 @@ func scVsRCPlan(scale Scale, p memsys.Params) plan[*stats.Table] {
 // work (strong scaling) is attacked by more execution streams whose memory
 // stalls overlap each other's computation.
 func MultithreadSweep(app string, scale Scale, kind memsys.Kind, nodes int, threads []int) (*stats.Table, error) {
-	return multithreadPlan(app, scale, kind, nodes, threads).run(store{})
+	return multithreadPlan(app, scale, kind, nodes, threads).run()
 }
 
 func multithreadPlan(app string, scale Scale, kind memsys.Kind, nodes int, threads []int) plan[*stats.Table] {
@@ -158,7 +158,7 @@ func multithreadPlan(app string, scale Scale, kind memsys.Kind, nodes int, threa
 // run. The paper's framework descends from the authors' scalability studies
 // (SIGMETRICS'94 / JPDC'94); this sweep recreates that view.
 func ScalabilitySweep(app string, scale Scale, kind memsys.Kind, procs []int) (*stats.Table, error) {
-	return scalabilityPlan(app, scale, kind, procs).run(store{})
+	return scalabilityPlan(app, scale, kind, procs).run()
 }
 
 func scalabilityPlan(app string, scale Scale, kind memsys.Kind, procs []int) plan[*stats.Table] {
@@ -183,7 +183,7 @@ func scalabilityPlan(app string, scale Scale, kind memsys.Kind, procs []int) pla
 // the paper's evaluation uses the mesh). The z-machine column shows how the
 // topology moves the inherent-communication bound itself.
 func TopologySweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, topologies []string) (*stats.Table, error) {
-	return topologyPlan(app, scale, kind, base, topologies).run(store{})
+	return topologyPlan(app, scale, kind, base, topologies).run()
 }
 
 func topologyPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, topologies []string) plan[*stats.Table] {
@@ -203,7 +203,7 @@ func topologyPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params,
 // data-flow guarantee so releases never stall. The paper predicts the
 // buffer-flush component vanishes.
 func RCSyncComparison(scale Scale, p memsys.Params) (*stats.Table, error) {
-	return rcSyncPlan(scale, p).run(store{})
+	return rcSyncPlan(scale, p).run()
 }
 
 func rcSyncPlan(scale Scale, p memsys.Params) plan[*stats.Table] {
@@ -222,7 +222,7 @@ func rcSyncPlan(scale Scale, p memsys.Params) plan[*stats.Table] {
 // whole system: fill, supernode structure, task parallelism, and hence the
 // communication the memory systems must carry.
 func OrderingSweep(scale Scale, kind memsys.Kind, p memsys.Params) (*stats.Table, error) {
-	return orderingPlan(scale, kind, p).run(store{})
+	return orderingPlan(scale, kind, p).run()
 }
 
 func orderingPlan(scale Scale, kind memsys.Kind, p memsys.Params) plan[*stats.Table] {
@@ -245,7 +245,7 @@ func orderingPlan(scale Scale, kind memsys.Kind, p memsys.Params) plan[*stats.Ta
 // data (Barnes-Hut's tree and bodies) suffers pointer thrashing when the
 // budget is small.
 func DirPointerSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, pointers []int) (*stats.Table, error) {
-	return dirPointerPlan(app, scale, kind, base, pointers).run(store{})
+	return dirPointerPlan(app, scale, kind, base, pointers).run()
 }
 
 func dirPointerPlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, pointers []int) plan[*stats.Table] {
@@ -270,7 +270,7 @@ func dirPointerPlan(app string, scale Scale, kind memsys.Kind, base memsys.Param
 // the real systems' line size exposes the false-sharing cost of bigger
 // lines against their spatial-locality benefit.
 func LineSizeSweep(app string, scale Scale, kind memsys.Kind, base memsys.Params, sizes []int) (*stats.Table, error) {
-	return lineSizePlan(app, scale, kind, base, sizes).run(store{})
+	return lineSizePlan(app, scale, kind, base, sizes).run()
 }
 
 func lineSizePlan(app string, scale Scale, kind memsys.Kind, base memsys.Params, sizes []int) plan[*stats.Table] {
@@ -291,7 +291,7 @@ func lineSizePlan(app string, scale Scale, kind memsys.Kind, base memsys.Params,
 // latency). The perfect oracle is the tighter lower bound; the gap shows
 // how much the broadcast approximation costs.
 func OracleSweep(scale Scale, p memsys.Params) (*stats.Table, error) {
-	return oraclePlan(scale, p).run(store{})
+	return oraclePlan(scale, p).run()
 }
 
 func oraclePlan(scale Scale, p memsys.Params) plan[*stats.Table] {

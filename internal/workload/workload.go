@@ -95,7 +95,7 @@ func Figure(n int, scale Scale, p memsys.Params) (*stats.Figure, error) {
 	if _, ok := figureOf[n]; !ok {
 		return nil, fmt.Errorf("workload: no figure %d in the paper (want 2-5)", n)
 	}
-	return figurePlan(n, scale, p).run(store{})
+	return figurePlan(n, scale, p).run()
 }
 
 func figurePlan(n int, scale Scale, p memsys.Params) plan[*stats.Figure] {
@@ -113,7 +113,7 @@ func figurePlan(n int, scale Scale, p memsys.Params) plan[*stats.Figure] {
 // hidden under computation), and the observed (read-stall) cycles.
 func Table1(scale Scale, p memsys.Params) (*stats.Table, []*stats.Result, error) {
 	pl := table1Plan(scale, p)
-	rs, err := pl.results(store{})
+	rs, err := pl.results()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,7 +139,7 @@ func table1Plan(scale Scale, p memsys.Params) plan[*stats.Table] {
 // z-machine versus the PRAM for every application. The paper's result is
 // that they match.
 func ZvsPRAM(scale Scale, p memsys.Params) (*stats.Table, error) {
-	return zVsPRAMPlan(scale, p).run(store{})
+	return zVsPRAMPlan(scale, p).run()
 }
 
 func zVsPRAMPlan(scale Scale, p memsys.Params) plan[*stats.Table] {
@@ -169,5 +169,5 @@ func SummaryMatrix(scale Scale, p memsys.Params) (*stats.Table, error) {
 				row[j] = fmt.Sprintf("%.2f", r.OverheadPct())
 			}
 			return row
-		})}.run(store{})
+		})}.run()
 }
